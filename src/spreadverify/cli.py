@@ -4,8 +4,9 @@ Commands: ``train`` (large-spread training to a JSON model), ``verify``
 (per-instance robustness over a CSV test set, optionally fanned out across
 worker threads), ``spread`` (the ensemble's threshold-spread value),
 ``oracle-check`` (randomized differential run of the fast verifier against
-the brute-force oracle), ``gadget`` (clique/spread-subset cross-check on a
-graph file) and ``bench`` (wall-clock scaling of verification time).
+the brute-force oracle, comparing verdicts and attack norms), ``gadget``
+(clique/spread-subset cross-check on a graph file) and ``bench`` (wall-clock
+scaling of verification time).
 
 Exit codes: 0 success, 1 usage error, 2 training failure, 3 spread
 precondition violation, 4 exhaustive-search capacity exceeded.
@@ -471,12 +472,27 @@ def _cmd_oracle_check(args) -> int:
         else:
             x = synth.random_instance(rng, ensemble.dimensionality)
         y = rng.choice((-1, 1))
-        fast = robust_ensemble(ensemble, p, k, x, y).robust
-        exact, _ = oracle.exact_robust(ensemble, p, k, x, y)
-        if fast == exact:
+        verdict = robust_ensemble(ensemble, p, k, x, y)
+        exact, witness = oracle.exact_robust(ensemble, p, k, x, y)
+        fast_norm = verdict.min_attack_norm
+        exact_norm = None if witness is None else witness.norm_value
+        same = verdict.robust == exact
+        if same and not exact and verdict.predicted == y:
+            # Both found an in-budget attack on a correct prediction: the
+            # cheapest one must cost the same on both sides.
+            same = math.isclose(fast_norm, exact_norm, rel_tol=1e-9)
+        if same:
             agree += 1
         else:
-            mismatches.append({"case": case, "fast": fast, "exact": exact})
+            mismatches.append(
+                {
+                    "case": case,
+                    "fast": verdict.robust,
+                    "exact": exact,
+                    "fast_norm": fast_norm,
+                    "exact_norm": exact_norm,
+                }
+            )
     _emit(
         args,
         f"agreement {agree}/{args.cases}",

@@ -8,7 +8,10 @@ cross-tree threshold-spread metric that makes compositional verification
 sound.
 
 All types are immutable after construction and all functions are pure, so
-everything here is safe for unrestricted concurrent use.
+everything here is safe for unrestricted concurrent use.  The one value an
+:class:`Ensemble` stores beyond its trees, the minimum cross-tree threshold
+gap behind :func:`spread`, is computed once in its constructor and never
+changes afterwards.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import fsum, inf, isfinite, nextafter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -87,6 +89,13 @@ def _check_budget(k: float) -> float:
     if math.isnan(k) or k < 0.0:
         raise ValueError(f"perturbation budget must be >= 0, got {k!r}")
     return k
+
+
+def _check_finite(x: Sequence[float]) -> None:
+    # A NaN makes every distance NaN, so wrong leaves would silently drop out
+    # of the comparisons against the budget; refuse such instances instead.
+    if not all(map(isfinite, x)):
+        raise ValueError("instance coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -264,20 +273,6 @@ class Split:
 Node = Union[Leaf, Split]
 
 
-def _scan_node(node: Node) -> tuple[int, int]:
-    """(node count, max feature index; -1 if the tree is a bare leaf)."""
-    count, max_feature = 0, -1
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        count += 1
-        if isinstance(cur, Split):
-            max_feature = max(max_feature, cur.feature)
-            stack.append(cur.left)
-            stack.append(cur.right)
-    return count, max_feature
-
-
 @dataclass(frozen=True)
 class DecisionTree:
     """Binary threshold tree over real features with labels in {+1, -1}.
@@ -293,8 +288,12 @@ class DecisionTree:
     def __post_init__(self) -> None:
         if not isinstance(self.root, (Leaf, Split)):
             raise TypeError(f"tree root must be Leaf or Split, got {self.root!r}")
-        count, max_feature = _scan_node(self.root)
-        object.__setattr__(self, "node_count", count)
+        splits, max_feature = 0, -1
+        for split in iter_splits(self.root):
+            splits += 1
+            max_feature = max(max_feature, split.feature)
+        # Every split has two children, so a tree has one more leaf than splits.
+        object.__setattr__(self, "node_count", 2 * splits + 1)
         object.__setattr__(self, "max_feature", max_feature)
 
 
@@ -304,6 +303,9 @@ class Ensemble:
 
     trees: tuple[DecisionTree, ...]
     dimensionality: int
+    # Smallest same-feature threshold gap between two distinct trees, which
+    # spread and is_large_spread read instead of rescanning every tree.
+    _min_gap: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         trees = tuple(self.trees)
@@ -321,6 +323,7 @@ class Ensemble:
                 )
         object.__setattr__(self, "trees", trees)
         object.__setattr__(self, "dimensionality", d)
+        object.__setattr__(self, "_min_gap", _min_cross_tree_gap(_flat_splits(trees)))
 
     @property
     def num_trees(self) -> int:
@@ -490,45 +493,54 @@ def oplus(norms: Sequence[float], p: NormOrder) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_gap(a: float, b: float, p: NormOrder) -> float:
-    # Scalar L_p distance between two thresholds: |a - b| for every p >= 1
-    # and for p = inf; for p = 0 it is 1 when they differ and 0 otherwise.
-    if p == 0:
-        return 0.0 if a == b else 1.0
-    return abs(a - b)
+def _flat_splits(trees: Sequence[DecisionTree]) -> list[tuple[int, float, int]]:
+    """``(feature, threshold, tree index)`` of every split, tree-major preorder."""
+    return [
+        (split.feature, split.threshold, i)
+        for i, tree in enumerate(trees)
+        for split in iter_splits(tree)
+    ]
 
 
-@lru_cache(maxsize=65536)
-def _spread_cached(trees: tuple[DecisionTree, ...], p: NormOrder) -> float:
-    if len(trees) < 2:
-        return inf
+def _min_cross_tree_gap(splits: Iterable[tuple[int, float, int]]) -> float:
+    """Smallest ``|a - b|`` over same-feature thresholds of distinct trees.
+
+    ``splits`` holds ``(feature, threshold, tree index)`` triples; the result
+    is +inf when no feature is tested by two distinct trees.
+    """
     by_feature: dict[int, list[tuple[float, int]]] = {}
-    for i, tree in enumerate(trees):
-        for split in iter_splits(tree):
-            by_feature.setdefault(split.feature, []).append((split.threshold, i))
+    for feature, threshold, tree in splits:
+        by_feature.setdefault(feature, []).append((threshold, tree))
     best = inf
     for entries in by_feature.values():
-        if len(entries) < 2:
-            continue
         entries.sort()
         # The minimum cross-tree gap on a feature is realized by some
         # adjacent pair (in sorted threshold order) whose trees differ.
         for (v1, i1), (v2, i2) in itertools.pairwise(entries):
-            if i1 != i2:
-                gap = _scalar_gap(v1, v2, p)
-                if gap < best:
-                    best = gap
+            if i1 != i2 and v2 - v1 < best:
+                best = v2 - v1
     return best
+
+
+def _gap_of(trees: "Ensemble | Sequence[DecisionTree]") -> float:
+    if isinstance(trees, Ensemble):
+        return trees._min_gap
+    return _min_cross_tree_gap(_flat_splits(tree_sequence(trees)))
 
 
 def spread(trees: "Ensemble | Sequence[DecisionTree]", p: NormOrder) -> float:
     """Minimum cross-tree distance between same-feature thresholds.
 
-    Returns +inf when fewer than two trees are given or no feature is tested
-    by two distinct trees.
+    The scalar distance is ``|a - b|`` for every p >= 1 and for p = inf; for
+    p = 0 it is 1 when the thresholds differ and 0 otherwise.  Returns +inf
+    when fewer than two trees are given or no feature is tested by two
+    distinct trees.
     """
     p = check_norm_order(p)
-    return _spread_cached(tree_sequence(trees), p)
+    gap = _gap_of(trees)
+    if p == 0 and 0.0 < gap < inf:
+        return 1.0
+    return gap
 
 
 def is_large_spread(trees: "Ensemble | Sequence[DecisionTree]", p: NormOrder, k: float) -> bool:
@@ -542,9 +554,9 @@ def is_large_spread(trees: "Ensemble | Sequence[DecisionTree]", p: NormOrder, k:
     """
     p = check_norm_order(p)
     k = _check_budget(k)
-    seq = tree_sequence(trees)
+    gap = _gap_of(trees)
     if k == 0.0:
-        return _spread_cached(seq, p) > 0.0
+        return gap > 0.0
     if p == 0:
         raise ValueError("large-spread verification is not defined for p=0 with k > 0")
-    return _spread_cached(seq, p) > 2.0 * k
+    return gap > 2.0 * k

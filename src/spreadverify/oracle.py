@@ -30,6 +30,7 @@ from .core import (
     NormOrder,
     Split,
     _check_budget,
+    _check_finite,
     check_norm_order,
     is_large_spread,
     norm_to_power,
@@ -229,6 +230,7 @@ def exact_robust(
     """
     p = check_norm_order(p)
     k = _check_budget(k)
+    _check_finite(x)
     if y not in (-1, 1):
         raise ValueError(f"label must be +1 or -1, got {y!r}")
     per_tree, wrong_flags = _prepare(ensemble.trees, y, max_leaf_tuples)
@@ -256,6 +258,7 @@ def minimal_attack(
     a label different from ``y``.
     """
     p = check_norm_order(p)
+    _check_finite(x)
     if y not in (-1, 1):
         raise ValueError(f"label must be +1 or -1, got {y!r}")
     per_tree, wrong_flags = _prepare(ensemble.trees, y, max_leaf_tuples)
@@ -282,6 +285,7 @@ def minimal_joint_attack(
     """
     p = check_norm_order(p)
     seq = tree_sequence(trees)
+    _check_finite(x)
     if y not in (-1, 1):
         raise ValueError(f"label must be +1 or -1, got {y!r}")
     per_tree, wrong_flags = _prepare(seq, y, max_leaf_tuples)
@@ -322,6 +326,8 @@ def split_attack(
         raise ValueError(
             f"instances have {len(x)} features but the trees test feature {hi_feature}"
         )
+    _check_finite(x)
+    _check_finite(z)
     crossed: set[int] = set()
     node = tree.root
     while isinstance(node, Split):

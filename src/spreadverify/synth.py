@@ -95,7 +95,8 @@ def random_large_spread_case(
         if _leaf_tuple_count(trees) > max_leaf_tuples:
             continue
         p = rng.choice(tuple(norms))
-        psi = spread(trees, p)
+        ensemble = Ensemble(trees, d)
+        psi = spread(ensemble, p)
         if psi == 0.0:
             continue
         if psi == math.inf:
@@ -104,7 +105,7 @@ def random_large_spread_case(
             k = 0.5 * psi * rng.uniform(0.15, 0.9)
             if not (0.0 < 2.0 * k < psi):
                 continue
-        return Ensemble(trees, d), p, k
+        return ensemble, p, k
 
 
 def scaling_ensemble(

@@ -7,7 +7,9 @@ pool tree with the fewest feature overlaps against the current selection and
 repairs remaining overlaps by pushing conflicting threshold pairs apart, one
 random offset per conflict, until the spread condition holds or the sweep
 budget runs out.  Trees whose repair fails are discarded, so every returned
-ensemble is large-spread by construction.
+ensemble is large-spread by construction.  Selection and repair work on one
+flat list of ``(feature, threshold, tree index)`` splits, and the selected
+trees are rebuilt from it once training succeeds.
 
 Hierarchical training partitions the features round-robin, trains an
 independent sub-ensemble per partition on the projected data, and merges:
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -35,6 +37,8 @@ from .core import (
     NormOrder,
     Node,
     Split,
+    _flat_splits,
+    _min_cross_tree_gap,
     check_norm_order,
     iter_splits,
     tree_sequence,
@@ -230,57 +234,27 @@ def train_random_forest(
 # ---------------------------------------------------------------------------
 
 
-class _MutableNode:
-    """Threshold-mutable mirror of a tree node used during repair."""
+def _rebuild(node: Node, pairs: Iterator[tuple[int, float]]) -> Node:
+    """Copy of ``node`` whose splits take, in preorder, the next ``pairs``.
 
-    __slots__ = ("feature", "threshold", "left", "right", "label")
-
-    def __init__(self, feature=None, threshold=None, left=None, right=None, label=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.label = label
-
-
-def _to_mutable(node: Node) -> _MutableNode:
+    Each pair is a ``(feature, threshold)``; leaves are shared unchanged.
+    """
     if isinstance(node, Leaf):
-        return _MutableNode(label=node.label)
-    return _MutableNode(
-        feature=node.feature,
-        threshold=node.threshold,
-        left=_to_mutable(node.left),
-        right=_to_mutable(node.right),
-    )
+        return node
+    feature, threshold = next(pairs)
+    left = _rebuild(node.left, pairs)
+    return Split(feature, threshold, left, _rebuild(node.right, pairs))
 
 
-def _copy_mutable(node: _MutableNode) -> _MutableNode:
-    if node.label is not None:
-        return _MutableNode(label=node.label)
-    return _MutableNode(
-        feature=node.feature,
-        threshold=node.threshold,
-        left=_copy_mutable(node.left),
-        right=_copy_mutable(node.right),
-    )
+def _rebuild_trees(
+    trees: Sequence[DecisionTree], splits: Sequence[tuple[int, float, int]]
+) -> list[DecisionTree]:
+    """The trees re-threaded with the features and thresholds of ``splits``.
 
-
-def _to_frozen(node: _MutableNode) -> Node:
-    if node.label is not None:
-        return Leaf(node.label)
-    return Split(node.feature, node.threshold, _to_frozen(node.left), _to_frozen(node.right))
-
-
-def _mutable_splits(root: _MutableNode) -> list[_MutableNode]:
-    """Internal nodes in preorder."""
-    out, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        if node.label is None:
-            out.append(node)
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+    ``splits`` lists every split of ``trees`` in tree-major preorder.
+    """
+    pairs = ((feature, threshold) for feature, threshold, _ in splits)
+    return [DecisionTree(_rebuild(tree.root, pairs)) for tree in trees]
 
 
 def _min_gap_to(sorted_values: list[float], v: float) -> float:
@@ -291,6 +265,20 @@ def _min_gap_to(sorted_values: list[float], v: float) -> float:
     if i > 0:
         best = min(best, v - sorted_values[i - 1])
     return best
+
+
+def _committed(splits: Sequence[tuple[int, float, int]]) -> dict[int, list[float]]:
+    """Sorted thresholds per feature."""
+    committed: dict[int, list[float]] = {}
+    for feature, threshold, _ in splits:
+        committed.setdefault(feature, []).append(threshold)
+    for values in committed.values():
+        values.sort()
+    return committed
+
+
+def _pairs(tree: DecisionTree) -> list[tuple[int, float]]:
+    return [(s.feature, s.threshold) for s in iter_splits(tree)]
 
 
 def _select_best(
@@ -332,70 +320,54 @@ def get_best_tree(
     p = check_norm_order(p)
     if p == 0:
         raise ValueError("overlap selection targets p >= 1 or inf attackers")
-    committed: dict[int, list[float]] = {}
-    for tree in tree_sequence(current):
-        for split in iter_splits(tree):
-            committed.setdefault(split.feature, []).append(split.threshold)
-    for values in committed.values():
-        values.sort()
-    node_lists = [
-        [(s.feature, s.threshold) for s in iter_splits(t)] for t in pool_seq
-    ]
+    committed = _committed(_flat_splits(tree_sequence(current)))
+    node_lists = [_pairs(t) for t in pool_seq]
     return pool_seq[_select_best(node_lists, committed, 2.0 * float(k))]
 
 
-def _live_spread_ok(roots: Sequence[_MutableNode], k: float) -> bool:
-    by_feature: dict[int, list[tuple[float, int]]] = {}
-    for i, root in enumerate(roots):
-        for node in _mutable_splits(root):
-            by_feature.setdefault(node.feature, []).append((node.threshold, i))
-    gap = 2.0 * k
-    for entries in by_feature.values():
-        if len(entries) < 2:
-            continue
-        entries.sort()
-        for (v1, i1), (v2, i2) in zip(entries, entries[1:]):
-            if i1 != i2 and v2 - v1 <= gap:
-                return False
-    return True
-
-
 def _fix_in_place(
-    roots: Sequence[_MutableNode], k: float, max_iter: int, rng: random.Random
+    splits: list[tuple[int, float, int]], k: float, max_iter: int, rng: random.Random
 ) -> bool:
     """Sweep conflicting cross-tree threshold pairs apart until large-spread.
 
-    Pairs are visited in (tree index, preorder position) lexicographic order;
-    each conflict draws one offset from (k, 2k] and moves the smaller
-    threshold down and the larger one up, so a repaired pair ends strictly
-    more than 2k apart.  Returns False when the spread condition still fails
-    after ``max_iter`` sweeps.
+    ``splits`` holds ``(feature, threshold, tree index)`` triples in
+    tree-major preorder; only the thresholds change, in place.  Pairs are
+    visited in list order of the first split, then of the second; each
+    conflict draws one offset from (k, 2k] and moves the smaller threshold
+    down and the larger one up, so a repaired pair ends strictly more than
+    2k apart.  Returns False when the spread condition still fails after
+    ``max_iter`` sweeps.
     """
-    ordered: list[tuple[int, int, _MutableNode]] = []
-    by_feature: dict[int, list[tuple[int, int, _MutableNode]]] = {}
-    for i, root in enumerate(roots):
-        for pos, node in enumerate(_mutable_splits(root)):
-            entry = (i, pos, node)
-            ordered.append(entry)
-            by_feature.setdefault(node.feature, []).append(entry)
+    thresholds = [threshold for _, threshold, _ in splits]
+    owners = [tree for _, _, tree in splits]
+    by_feature: dict[int, list[int]] = {}
+    for i, (feature, _, _) in enumerate(splits):
+        by_feature.setdefault(feature, []).append(i)
     gap = 2.0 * k
+
+    def spread_ok() -> bool:
+        live = zip((feature for feature, _, _ in splits), thresholds, owners)
+        return _min_cross_tree_gap(live) > gap
+
     iteration = 0
-    while not _live_spread_ok(roots, k) and iteration < max_iter:
+    while not spread_ok() and iteration < max_iter:
         iteration += 1
-        for ti, pi, node in ordered:
-            for tj, pj, peer in by_feature[node.feature]:
-                if (tj, pj) <= (ti, pi) or tj == ti:
+        for i, (feature, _, tree) in enumerate(splits):
+            peers = by_feature[feature]
+            for j in peers[bisect_right(peers, i):]:
+                if owners[j] == tree:
                     continue
-                v, w = node.threshold, peer.threshold
+                v, w = thresholds[i], thresholds[j]
                 if abs(v - w) <= gap:
                     offset = k + k * (1.0 - rng.random())  # uniform in (k, 2k]
                     if v <= w:
-                        node.threshold = v - offset
-                        peer.threshold = w + offset
+                        thresholds[i] = v - offset
+                        thresholds[j] = w + offset
                     else:
-                        node.threshold = v + offset
-                        peer.threshold = w - offset
-    return _live_spread_ok(roots, k)
+                        thresholds[i] = v + offset
+                        thresholds[j] = w - offset
+    splits[:] = [(f, v, t) for (f, _, t), v in zip(splits, thresholds)]
+    return spread_ok()
 
 
 def fix_forest(
@@ -414,11 +386,11 @@ def fix_forest(
         raise ValueError(f"k must be finite and > 0, got {k!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    roots = [_to_mutable(t.root) for t in ensemble.trees]
-    if not _fix_in_place(roots, k, max_iter, random.Random(seed)):
+    splits = _flat_splits(ensemble.trees)
+    if not _fix_in_place(splits, k, max_iter, random.Random(seed)):
         return None
-    trees = tuple(DecisionTree(_to_frozen(r)) for r in roots)
-    return Ensemble(trees, ensemble.dimensionality)
+    trees = _rebuild_trees(ensemble.trees, splits)
+    return Ensemble(tuple(trees), ensemble.dimensionality)
 
 
 # ---------------------------------------------------------------------------
@@ -432,32 +404,33 @@ def _train_large_spread_trees(
     m: int,
     config: TrainConfig,
     rng: random.Random,
-) -> Optional[list[DecisionTree]]:
+) -> Optional[tuple[list[DecisionTree], list[tuple[int, float, int]]]]:
+    """(selected pool trees, their repaired splits), or None on failure.
+
+    The trees keep their pool thresholds; the repaired ones are in the
+    splits, in the tree-major preorder that :func:`_rebuild_trees` takes.
+    """
     pool = _train_forest(X, y, 2 * m, config.max_depth, rng)
     first = pool.pop(rng.randrange(len(pool)))
-    selected = [_to_mutable(first.root)]
-    pool_nodes = {
-        id(t): [(s.feature, s.threshold) for s in iter_splits(t)] for t in pool
-    }
+    selected = [first]
+    splits = _flat_splits(selected)
+    pool_nodes = {id(t): _pairs(t) for t in pool}
     attempts = 1
     while attempts < 2 * m and len(selected) < m:
         attempts += 1
-        committed: dict[int, list[float]] = {}
-        for root in selected:
-            for node in _mutable_splits(root):
-                committed.setdefault(node.feature, []).append(node.threshold)
-        for values in committed.values():
-            values.sort()
-        j = _select_best([pool_nodes[id(t)] for t in pool], committed, 2.0 * config.k)
+        j = _select_best(
+            [pool_nodes[id(t)] for t in pool], _committed(splits), 2.0 * config.k
+        )
         candidate = pool.pop(j)
-        trial = [_copy_mutable(root) for root in selected]
-        trial.append(_to_mutable(candidate.root))
+        owner = len(selected)
+        trial = splits + [(f, v, owner) for f, v in pool_nodes[id(candidate)]]
         if _fix_in_place(trial, config.k, config.max_iter, rng):
-            selected = trial
+            selected.append(candidate)
+            splits = trial
         # otherwise the candidate is discarded and the selection kept as-is
     if len(selected) != m:
         return None
-    return [DecisionTree(_to_frozen(root)) for root in selected]
+    return selected, splits
 
 
 def train_large_spread(dataset: Dataset, config: TrainConfig) -> Optional[Ensemble]:
@@ -469,23 +442,12 @@ def train_large_spread(dataset: Dataset, config: TrainConfig) -> Optional[Ensemb
     """
     _check_trainable(dataset)
     rng = random.Random(config.seed)
-    trees = _train_large_spread_trees(
+    found = _train_large_spread_trees(
         dataset.features, dataset.labels, config.num_trees, config, rng
     )
-    if trees is None:
+    if found is None:
         return None
-    return Ensemble(tuple(trees), dataset.dimensionality)
-
-
-def _remap_features(node: Node, mapping: Sequence[int]) -> Node:
-    if isinstance(node, Leaf):
-        return node
-    return Split(
-        mapping[node.feature],
-        node.threshold,
-        _remap_features(node.left, mapping),
-        _remap_features(node.right, mapping),
-    )
+    return Ensemble(tuple(_rebuild_trees(*found)), dataset.dimensionality)
 
 
 def train_hierarchical(dataset: Dataset, config: TrainConfig) -> Optional[Ensemble]:
@@ -510,10 +472,11 @@ def train_hierarchical(dataset: Dataset, config: TrainConfig) -> Optional[Ensemb
     for g in range(l):
         part = list(range(g, d, l))
         size = base + (1 if g < remainder else 0)
-        sub = _train_large_spread_trees(
+        found = _train_large_spread_trees(
             dataset.features[:, part], dataset.labels, size, config, rng
         )
-        if sub is None:
+        if found is None:
             return None
-        merged.extend(DecisionTree(_remap_features(t.root, part)) for t in sub)
+        sub, splits = found
+        merged.extend(_rebuild_trees(sub, [(part[f], v, t) for f, v, t in splits]))
     return Ensemble(tuple(merged), d)

@@ -9,11 +9,12 @@ support-disjoint norm composition, so the whole check runs in
 O(N + m log m).
 
 The ensemble verdict is sound only under the spread precondition, so it is
-always checked (cheaply, and cached per ensemble) and its violation raises
-:class:`NotLargeSpreadError` rather than returning a possibly wrong answer.
-Verification never mutates the ensemble; each traversal owns its private
-scratch state, so distinct instances may be verified concurrently over a
-shared model.
+always checked (a comparison against the threshold gap each ensemble stores
+on construction) and its violation raises :class:`NotLargeSpreadError`
+rather than returning a possibly wrong answer.  Instances with NaN or
+infinite coordinates raise ValueError.  Verification never mutates the
+ensemble; each traversal owns its private scratch state, so distinct
+instances may be verified concurrently over a shared model.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     NormOrder,
     SpreadVerifyError,
     _check_budget,
+    _check_finite,
     _dist_raw,
     check_norm_order,
     is_large_spread,
@@ -155,6 +157,7 @@ def _check_tree_args(
         raise ValueError(
             f"instance has {len(x)} features but the tree tests feature {tree.max_feature}"
         )
+    _check_finite(x)
     if y not in (-1, 1):
         raise ValueError(f"label must be +1 or -1, got {y!r}")
     return p, k
@@ -193,6 +196,7 @@ def _check_ensemble_args(
         raise ValueError(
             f"instance has {len(x)} features, ensemble expects {ensemble.dimensionality}"
         )
+    _check_finite(x)
     return p, k
 
 

@@ -336,6 +336,27 @@ def test_oracle_check_command(capsys):
     assert "agreement 25/25" in capsys.readouterr().out
 
 
+def test_oracle_check_compares_attack_norms(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from spreadverify import cli
+
+    def off_by_a_millionth(*args):
+        verdict = robust_ensemble(*args)
+        if verdict.min_attack_norm is None:
+            return verdict
+        return replace(verdict, min_attack_norm=verdict.min_attack_norm * (1 + 1e-6))
+
+    monkeypatch.setattr(cli, "robust_ensemble", off_by_a_millionth)
+    assert main(["oracle-check", "--cases", "100", "--seed", "11", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    mismatches = payload["mismatches"]
+    assert mismatches and payload["agreement"] == 100 - len(mismatches)
+    for entry in mismatches:
+        assert entry["fast"] is False and entry["exact"] is False
+        assert entry["fast_norm"] == pytest.approx(entry["exact_norm"] * (1 + 1e-6))
+
+
 def test_gadget_command(tmp_path, capsys):
     graph_path = _write(tmp_path, "g.txt", "3 2\n0 1\n1 2\n")
     assert main(["gadget", "--graph", str(graph_path), "--s", "2", "--json"]) == 0

@@ -359,3 +359,23 @@ def test_spread_l0_distances():
     c = DecisionTree(Split(0, 10.0, Leaf(-1), Leaf(1)))
     assert spread([a, b], 0) == 1.0
     assert spread([a, c], 0) == 0.0
+
+
+def test_spread_of_a_deep_chain():
+    # 1500 nested splits: spread must come from an iterative scan, not from
+    # anything that recurses through the tree (such as hashing it).
+    chain = Leaf(1)
+    for level in reversed(range(1500)):
+        chain = Split(0, float(level), Leaf(-1), chain)
+    trees = (
+        DecisionTree(chain),
+        DecisionTree(Split(0, 0.25, Leaf(1), Leaf(-1))),
+        DecisionTree(Split(1, 5.0, Leaf(1), Leaf(-1))),
+    )
+    ensemble = Ensemble(trees, 2)
+    assert ensemble.node_count == 3001 + 3 + 3
+    for target in (ensemble, trees):
+        assert spread(target, inf) == 0.25
+        assert spread(target, 0) == 1.0
+        assert is_large_spread(target, 2, 0.1)
+        assert not is_large_spread(target, 1, 0.125)

@@ -269,6 +269,22 @@ def test_split_attack_detects_violated_precondition():
         split_attack(ta, tb, x, z)
 
 
+@pytest.mark.parametrize("bad", [math.nan, inf, -inf])
+def test_oracle_rejects_non_finite_coordinates(two_feature_stumps, bad):
+    x = (bad, 3.0)
+    with pytest.raises(ValueError, match="finite"):
+        exact_robust(two_feature_stumps, inf, 1.0, x, 1)
+    with pytest.raises(ValueError, match="finite"):
+        minimal_attack(two_feature_stumps, inf, x, 1)
+    with pytest.raises(ValueError, match="finite"):
+        minimal_joint_attack(two_feature_stumps, inf, x, 1)
+    ta, tb = two_feature_stumps.trees[:2]
+    with pytest.raises(ValueError, match="finite"):
+        split_attack(ta, tb, x, (3.0, 3.0))
+    with pytest.raises(ValueError, match="finite"):
+        split_attack(ta, tb, (3.0, 3.0), x)
+
+
 # ---------------------------------------------------------------------------
 # large-spread subsets
 # ---------------------------------------------------------------------------

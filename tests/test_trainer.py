@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from math import inf
@@ -22,9 +23,15 @@ from spreadverify import (
     train_large_spread,
     train_random_forest,
 )
-from spreadverify.cli import accuracy, canonical_model_json
+from spreadverify.cli import (
+    accuracy,
+    bundled_dataset_path,
+    canonical_model_json,
+    load_csv,
+    stratified_split,
+)
 from spreadverify.synth import two_blob_dataset
-from spreadverify.trainer import _fix_in_place, _to_frozen, _to_mutable
+from spreadverify.trainer import _fix_in_place
 
 
 def _stump(feature, threshold):
@@ -147,11 +154,9 @@ def test_get_best_tree_tie_breaks_to_pool_order():
 
 
 def test_fix_moves_conflicting_pair_apart():
-    roots = [_to_mutable(_stump(0, 10.0).root), _to_mutable(_stump(0, 11.0).root)]
-    assert _fix_in_place(roots, k=1.0, max_iter=5, rng=_FixedRandom([0.5]))
-    fixed = [_to_frozen(r) for r in roots]
-    assert [s.threshold for s in iter_splits(fixed[0])] == [8.5]
-    assert [s.threshold for s in iter_splits(fixed[1])] == [12.5]
+    splits = [(0, 10.0, 0), (0, 11.0, 1)]  # (feature, threshold, tree)
+    assert _fix_in_place(splits, k=1.0, max_iter=5, rng=_FixedRandom([0.5]))
+    assert splits == [(0, 8.5, 0), (0, 12.5, 1)]
 
 
 def test_fix_forest_already_large_spread_is_unchanged():
@@ -240,6 +245,43 @@ def test_train_determinism_is_byte_exact():
     b = train_large_spread(data, cfg)
     assert a is not None
     assert canonical_model_json(a) == canonical_model_json(b)
+
+
+# SHA-256 of canonical_model_json for models trained on the seed-11 70/30
+# split of the bundled data.  Unlike the determinism test above, these pin
+# the models across code changes: any change to the random draws, the order
+# repair visits pairs in or its arithmetic shows up here.
+_GOLDEN = {
+    ("plain", 5, 3, inf, 0.01, 0): "4e354cfd32069bbf8e92040da8fb6b8d5ef684f2865d97d448ec82e0e602585b",
+    ("plain", 5, 3, inf, 0.01, 1): "4c280d76aecfef3da0ec2f4a14d2cec18fbf07056679774eba7417320817588b",
+    ("plain", 25, 4, inf, 0.01, 0): "44e98bcedc1007f77fdbfd16cb3f2e443b7a7e98fc8f787f0a673c2207af7019",
+    ("plain", 25, 4, inf, 0.01, 1): "ad2af0709b115e451b5b3479ba720861d65630544a1bbc099f4f86af759cf4b3",
+    ("plain", 11, 4, 2, 0.02, 0): "4b32b3b925d56fd3cdcf29ca73896d262b7e395169c773b83138149b862875cc",
+    ("plain", 11, 4, 2, 0.02, 1): "57be670af96ba7f073ac69ac07c250bb26841134643cf1c4633f9fcdd8751c0c",
+    ("hierarchical", 9, 3, inf, 0.01, 0): "0f7156bf4c5160c54257495403049e92532010497987151f9adc3855c90e9355",
+    ("fix_forest", 25, 5, inf, 0.005, 0): "d2ae9bb6bd7ed71229578fa876620cb4ea3add9c3df443896ffe509a01ef1a8c",
+}
+
+
+@pytest.fixture(scope="module")
+def bundled_train():
+    return stratified_split(load_csv(bundled_dataset_path()), 0.7, seed=11)[0]
+
+
+@pytest.mark.parametrize("key", list(_GOLDEN), ids=lambda key: "-".join(map(str, key)))
+def test_trained_models_match_golden_digests(bundled_train, key):
+    kind, m, depth, p, k, seed = key
+    if kind == "plain":
+        model = train_large_spread(bundled_train, TrainConfig(m, depth, p, k, seed=seed))
+    elif kind == "hierarchical":
+        config = TrainConfig(m, depth, p, k, partitions=3, seed=seed)
+        model = train_hierarchical(bundled_train, config)
+    else:
+        forest = train_random_forest(bundled_train, m, depth, seed=seed)
+        model = fix_forest(forest, p, k, max_iter=100, seed=seed)
+    assert model is not None
+    digest = hashlib.sha256(canonical_model_json(model).encode()).hexdigest()
+    assert digest == _GOLDEN[key]
 
 
 # ---------------------------------------------------------------------------

@@ -246,3 +246,37 @@ def test_concurrent_verification_matches_sequential():
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda x: robust_ensemble(ensemble, p, k, x, 1), instances))
     assert threaded == sequential
+
+
+# ---------------------------------------------------------------------------
+# non-finite instances
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, inf, -inf])
+def test_non_finite_coordinates_are_rejected(two_feature_stumps, bad):
+    tree = two_feature_stumps.trees[0]
+    x = (3.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        reachable(tree, inf, 1.0, x, 1)
+    with pytest.raises(ValueError, match="finite"):
+        robust_tree(tree, inf, 1.0, x, 1)
+    with pytest.raises(ValueError, match="finite"):
+        stable_ensemble(two_feature_stumps, inf, 1.0, x, 1)
+    with pytest.raises(ValueError, match="finite"):
+        robust_ensemble(two_feature_stumps, inf, 1.0, x, 1)
+
+
+def test_one_nan_coordinate_is_an_error_on_both_sides():
+    # A NaN makes every distance NaN, so wrong leaves used to drop out of
+    # the budget comparisons and the fast path and the oracle disagreed.
+    rng = random.Random(0)
+    for _ in range(40):
+        ensemble, p, k = random_large_spread_case(rng)
+        x = list(random_instance(rng, ensemble.dimensionality))
+        x[rng.randrange(len(x))] = math.nan
+        y = rng.choice((-1, 1))
+        with pytest.raises(ValueError):
+            robust_ensemble(ensemble, p, k, x, y)
+        with pytest.raises(ValueError):
+            exact_robust(ensemble, p, k, x, y)
