@@ -1,12 +1,12 @@
 """Dataset ingestion, model serialization, metrics and the command surface.
 
 Commands: ``train`` (large-spread training to a JSON model), ``verify``
-(per-instance robustness over a CSV test set, optionally fanned out across
-worker threads), ``spread`` (the ensemble's threshold-spread value),
-``oracle-check`` (randomized differential run of the fast verifier against
-the brute-force oracle, comparing verdicts and attack norms), ``gadget``
-(clique/spread-subset cross-check on a graph file) and ``bench`` (wall-clock
-scaling of verification time).
+(per-instance robustness over a CSV test set, on one thread; ``--jobs`` is
+accepted for compatibility and has no effect), ``spread`` (the ensemble's
+threshold-spread value), ``oracle-check`` (randomized differential run of
+the fast verifier against the brute-force oracle, comparing verdicts and
+attack norms), ``gadget`` (clique/spread-subset cross-check on a graph file)
+and ``bench`` (wall-clock scaling of verification time).
 
 Exit codes: 0 success, 1 usage error, 2 training failure, 3 spread
 precondition violation, 4 exhaustive-search capacity exceeded.
@@ -22,7 +22,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
@@ -43,7 +42,7 @@ from .core import (
     predict_ensemble,
     spread,
 )
-from .trainer import Dataset, TrainConfig, train_hierarchical, train_large_spread
+from .trainer import Dataset, TrainConfig, train_large_spread
 from .verifier import NotLargeSpreadError, robust_ensemble
 
 __all__ = [
@@ -347,10 +346,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
     )
     start = time.perf_counter()
-    if config.partitions > 1:
-        model = train_hierarchical(dataset, config)
-    else:
-        model = train_large_spread(dataset, config)
+    model = train_large_spread(dataset, config)
     elapsed = time.perf_counter() - start
     if model is None:
         print(
@@ -382,9 +378,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _verify_rows(model, p, k, dataset, jobs) -> list[InstanceVerdict]:
-    items = list(dataset.rows())
-
+def _verify_rows(model, p, k, dataset) -> list[InstanceVerdict]:
     def check(item):
         index, (x, y) = item
         verdict = robust_ensemble(model, p, k, x, y)
@@ -397,10 +391,7 @@ def _verify_rows(model, p, k, dataset, jobs) -> list[InstanceVerdict]:
             min_attack_norm=verdict.min_attack_norm,
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(check, enumerate(items)))
-    return [check(item) for item in enumerate(items)]
+    return [check(item) for item in enumerate(dataset.rows())]
 
 
 def _cmd_verify(args) -> int:
@@ -425,7 +416,7 @@ def _cmd_verify(args) -> int:
     timings["spread_check"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    rows = _verify_rows(model, attacker.p, attacker.k, dataset, args.jobs)
+    rows = _verify_rows(model, attacker.p, attacker.k, dataset)
     timings["verify"] = time.perf_counter() - start
 
     report = RunReport(tuple(rows), psi, timings)
@@ -471,15 +462,16 @@ def _cmd_oracle_check(args) -> int:
             x = synth.knife_edge_instance(rng, ensemble.trees, ensemble.dimensionality)
         else:
             x = synth.random_instance(rng, ensemble.dimensionality)
-        y = rng.choice((-1, 1))
+        # Labelled with the prediction, so a non-robust verdict is an attack.
+        y = predict_ensemble(ensemble, x)
         verdict = robust_ensemble(ensemble, p, k, x, y)
         exact, witness = oracle.exact_robust(ensemble, p, k, x, y)
         fast_norm = verdict.min_attack_norm
         exact_norm = None if witness is None else witness.norm_value
         same = verdict.robust == exact
-        if same and not exact and verdict.predicted == y:
-            # Both found an in-budget attack on a correct prediction: the
-            # cheapest one must cost the same on both sides.
+        if same and not exact:
+            # Both found an in-budget attack: the cheapest one must cost the
+            # same on both sides.
             same = math.isclose(fast_norm, exact_norm, rel_tol=1e-9)
         if same:
             agree += 1
@@ -621,7 +613,9 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--data", required=True)
     p_verify.add_argument("--p", type=_parse_norm, required=True)
     p_verify.add_argument("--k", type=float, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; runs on one thread"
+    )
     add_common(p_verify, seed=False)
     p_verify.set_defaults(func=_cmd_verify)
 

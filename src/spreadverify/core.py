@@ -434,6 +434,17 @@ def norm_to_power(value: float, p: NormOrder) -> float:
     return value ** p
 
 
+def _update_power(p: NormOrder, acc: float, old_comp: float, new_comp: float) -> float:
+    # update_norm in the power domain, where the verifier keeps its costs.
+    if p == inf:
+        new = abs(new_comp)
+        return acc if acc >= new else new
+    if p == 0:
+        return acc - (0 if old_comp == 0.0 else 1) + (0 if new_comp == 0.0 else 1)
+    base = acc - power_contrib(old_comp, p) + power_contrib(new_comp, p)
+    return base if base > 0.0 else 0.0
+
+
 def rect_cost_power(
     bounds: Iterable[tuple[int, float, float]], x: Sequence[float], p: NormOrder
 ) -> float:
@@ -462,12 +473,7 @@ def update_norm(p: NormOrder, delta_norm: float, old_comp: float, new_comp: floa
     change comes from shrinking an interval constraint.
     """
     p = check_norm_order(p)
-    if p == inf:
-        return max(delta_norm, abs(new_comp))
-    if p == 0:
-        return delta_norm - (0 if old_comp == 0.0 else 1) + (0 if new_comp == 0.0 else 1)
-    base = norm_to_power(delta_norm, p) - power_contrib(old_comp, p) + power_contrib(new_comp, p)
-    return power_to_norm(max(base, 0.0), p)
+    return power_to_norm(_update_power(p, norm_to_power(delta_norm, p), old_comp, new_comp), p)
 
 
 def oplus(norms: Sequence[float], p: NormOrder) -> float:
@@ -481,11 +487,7 @@ def oplus(norms: Sequence[float], p: NormOrder) -> float:
     for v in values:
         if v == inf:
             raise ValueError("oplus is undefined for infinite entries")
-    if p == inf:
-        return max(values, default=0.0)
-    if p == 0:
-        return float(sum(values))
-    return power_to_norm(fsum(norm_to_power(v, p) for v in values), p)
+    return power_to_norm(power_total((norm_to_power(v, p) for v in values), p), p)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ ensemble is large-spread by construction.  Selection and repair work on one
 flat list of ``(feature, threshold, tree index)`` splits, and the selected
 trees are rebuilt from it once training succeeds.
 
-Hierarchical training partitions the features round-robin, trains an
-independent sub-ensemble per partition on the projected data, and merges:
-trees built on disjoint features cannot violate the spread condition across
-partitions.
+``train_large_spread`` also partitions the features round-robin into
+``config.partitions`` groups, trains an independent sub-ensemble per group
+on the projected data, and merges them: trees built on disjoint features
+cannot violate the spread condition across groups.  One partition is the
+plain case; ``train_hierarchical`` is another name for the same trainer.
 
 All randomness flows through one seeded ``random.Random`` stream per
 training call, so identical inputs give byte-identical ensembles.
@@ -414,16 +415,12 @@ def _train_large_spread_trees(
     first = pool.pop(rng.randrange(len(pool)))
     selected = [first]
     splits = _flat_splits(selected)
-    pool_nodes = {id(t): _pairs(t) for t in pool}
-    attempts = 1
-    while attempts < 2 * m and len(selected) < m:
-        attempts += 1
-        j = _select_best(
-            [pool_nodes[id(t)] for t in pool], _committed(splits), 2.0 * config.k
-        )
+    pool_nodes = [_pairs(t) for t in pool]
+    while pool and len(selected) < m:
+        j = _select_best(pool_nodes, _committed(splits), 2.0 * config.k)
         candidate = pool.pop(j)
         owner = len(selected)
-        trial = splits + [(f, v, owner) for f, v in pool_nodes[id(candidate)]]
+        trial = splits + [(f, v, owner) for f, v in pool_nodes.pop(j)]
         if _fix_in_place(trial, config.k, config.max_iter, rng):
             selected.append(candidate)
             splits = trial
@@ -434,30 +431,16 @@ def _train_large_spread_trees(
 
 
 def train_large_spread(dataset: Dataset, config: TrainConfig) -> Optional[Ensemble]:
-    """Train a large-spread ensemble by pruning and repairing a CART forest.
-
-    Returns None (training failure) when fewer than ``config.num_trees``
-    candidates survive the repair step; any returned ensemble satisfies the
-    large-spread condition for ``(config.p, config.k)``.
-    """
-    _check_trainable(dataset)
-    rng = random.Random(config.seed)
-    found = _train_large_spread_trees(
-        dataset.features, dataset.labels, config.num_trees, config, rng
-    )
-    if found is None:
-        return None
-    return Ensemble(tuple(_rebuild_trees(*found)), dataset.dimensionality)
-
-
-def train_hierarchical(dataset: Dataset, config: TrainConfig) -> Optional[Ensemble]:
-    """Train per-partition sub-ensembles on disjoint features and merge.
+    """Train a large-spread ensemble by pruning and repairing CART forests.
 
     Features are assigned round-robin to ``config.partitions`` groups; each
-    group trains independently on its projection of the data, and the merged
-    ensemble is large-spread because cross-partition trees share no features.
-    Sub-ensemble sizes are as equal as possible (first groups take the
-    remainder) with an odd total.  Returns None when any sub-training fails.
+    group trains its own sub-ensemble on its projection of the data, and the
+    merged ensemble is large-spread because cross-partition trees share no
+    features.  Sub-ensemble sizes are as equal as possible (first groups take
+    the remainder) with an odd total; one partition is the plain case.
+    Returns None (training failure) when any group keeps fewer trees than it
+    needs after the repair step; any returned ensemble satisfies the
+    large-spread condition for ``(config.p, config.k)``.
     """
     _check_trainable(dataset)
     d = dataset.dimensionality
@@ -472,11 +455,15 @@ def train_hierarchical(dataset: Dataset, config: TrainConfig) -> Optional[Ensemb
     for g in range(l):
         part = list(range(g, d, l))
         size = base + (1 if g < remainder else 0)
+        # A row-major view: fancy indexing would copy column-major, slowing bootstrap.
         found = _train_large_spread_trees(
-            dataset.features[:, part], dataset.labels, size, config, rng
+            dataset.features[:, g::l], dataset.labels, size, config, rng
         )
         if found is None:
             return None
         sub, splits = found
         merged.extend(_rebuild_trees(sub, [(part[f], v, t) for f, v, t in splits]))
     return Ensemble(tuple(merged), d)
+
+
+train_hierarchical = train_large_spread

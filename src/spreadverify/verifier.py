@@ -34,10 +34,10 @@ from .core import (
     _check_budget,
     _check_finite,
     _dist_raw,
+    _update_power,
     check_norm_order,
     is_large_spread,
     norm_to_power,
-    power_contrib,
     power_to_norm,
     power_total,
     predict_ensemble,
@@ -92,17 +92,6 @@ class VerificationVerdict:
     stable: bool
     predicted: int
     min_attack_norm: Optional[float]
-
-
-def _update_power(p: NormOrder, acc: float, old_comp: float, new_comp: float) -> float:
-    # Power-domain counterpart of the O(1) norm update.
-    if p == inf:
-        new = abs(new_comp)
-        return acc if acc >= new else new
-    if p == 0:
-        return acc - (0 if old_comp == 0.0 else 1) + (0 if new_comp == 0.0 else 1)
-    base = acc - power_contrib(old_comp, p) + power_contrib(new_comp, p)
-    return base if base > 0.0 else 0.0
 
 
 def _wrong_leaf_costs(
@@ -186,7 +175,7 @@ def robust_tree(tree: DecisionTree, p: NormOrder, k: float, x: Sequence[float], 
 
 
 def _check_ensemble_args(
-    ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float]
+    ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
 ) -> tuple[NormOrder, float]:
     p = check_norm_order(p)
     k = _check_budget(k)
@@ -197,6 +186,8 @@ def _check_ensemble_args(
             f"instance has {len(x)} features, ensemble expects {ensemble.dimensionality}"
         )
     _check_finite(x)
+    if y not in (-1, 1):
+        raise ValueError(f"label must be +1 or -1, got {y!r}")
     return p, k
 
 
@@ -234,9 +225,7 @@ def stable_ensemble(
     pairwise disjoint supports, so flipping any majority costs at least the
     composition of the smallest per-tree minima.
     """
-    p, k = _check_ensemble_args(ensemble, p, k, x)
-    if y not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
+    p, k = _check_ensemble_args(ensemble, p, k, x, y)
     return _stability(ensemble, p, k, x, y)[0]
 
 
@@ -248,9 +237,7 @@ def robust_ensemble(
     Stability is judged against the ensemble's own prediction; robustness
     additionally requires that prediction to equal ``y``.
     """
-    p, k = _check_ensemble_args(ensemble, p, k, x)
-    if y not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
+    p, k = _check_ensemble_args(ensemble, p, k, x, y)
     predicted = predict_ensemble(ensemble, x)
     stable, attack_norm = _stability(ensemble, p, k, x, predicted)
     return VerificationVerdict(

@@ -302,7 +302,9 @@ def test_hierarchical_two_partitions_merge_is_large_spread():
     data = two_blob_dataset(13, 200, 8)
     cfg = TrainConfig(num_trees=5, max_depth=3, p=inf, k=0.05, max_iter=50, partitions=2, seed=9)
     merged = train_hierarchical(data, cfg)
-    assert merged is not None
+    plain = train_large_spread(data, cfg)  # honours partitions too
+    assert merged is not None and plain is not None
+    assert canonical_model_json(plain) == canonical_model_json(merged)
     assert is_large_spread(merged, inf, 0.05)
     # partitions use disjoint features: round-robin residues never mix
     sizes = [3, 2]
