@@ -336,8 +336,9 @@ def _fix_in_place(
     visited in list order of the first split, then of the second; each
     conflict draws one offset from (k, 2k] and moves the smaller threshold
     down and the larger one up, so a repaired pair ends strictly more than
-    2k apart.  Returns False when the spread condition still fails after
-    ``max_iter`` sweeps.
+    2k apart.  At most ``max_iter`` sweeps run, and the first that finds no
+    conflict ends repair.  Returns False when the spread condition still
+    fails after the last sweep.
     """
     thresholds = [threshold for _, threshold, _ in splits]
     owners = [tree for _, _, tree in splits]
@@ -345,14 +346,9 @@ def _fix_in_place(
     for i, (feature, _, _) in enumerate(splits):
         by_feature.setdefault(feature, []).append(i)
     gap = 2.0 * k
-
-    def spread_ok() -> bool:
-        live = zip((feature for feature, _, _ in splits), thresholds, owners)
-        return _min_cross_tree_gap(live) > gap
-
-    iteration = 0
-    while not spread_ok() and iteration < max_iter:
-        iteration += 1
+    repaired = True
+    for _ in range(max_iter):
+        repaired = False
         for i, (feature, _, tree) in enumerate(splits):
             peers = by_feature[feature]
             for j in peers[bisect_right(peers, i):]:
@@ -360,6 +356,7 @@ def _fix_in_place(
                     continue
                 v, w = thresholds[i], thresholds[j]
                 if abs(v - w) <= gap:
+                    repaired = True
                     offset = k + k * (1.0 - rng.random())  # uniform in (k, 2k]
                     if v <= w:
                         thresholds[i] = v - offset
@@ -367,8 +364,10 @@ def _fix_in_place(
                     else:
                         thresholds[i] = v + offset
                         thresholds[j] = w - offset
+        if not repaired:
+            break
     splits[:] = [(f, v, t) for (f, _, t), v in zip(splits, thresholds)]
-    return spread_ok()
+    return not repaired or _min_cross_tree_gap(splits) > gap
 
 
 def fix_forest(
@@ -416,7 +415,8 @@ def _train_large_spread_trees(
     selected = [first]
     splits = _flat_splits(selected)
     pool_nodes = [_pairs(t) for t in pool]
-    while pool and len(selected) < m:
+    # selected + pool only shrinks: once it is below m the group has failed.
+    while len(selected) < m <= len(selected) + len(pool):
         j = _select_best(pool_nodes, _committed(splits), 2.0 * config.k)
         candidate = pool.pop(j)
         owner = len(selected)

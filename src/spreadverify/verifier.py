@@ -1,12 +1,13 @@
 """Fast robustness verification for trees and large-spread ensembles.
 
 Single trees are verified by one depth-first traversal that maintains a
-single global hyper-rectangle plus a scalar perturbation cost, updating the
-cost in O(1) per node and restoring both on backtrack.  Ensembles whose
-cross-tree threshold spread strictly exceeds twice the attack budget are
-verified compositionally: per-tree minimal attack costs combine through the
-support-disjoint norm composition, so the whole check runs in
-O(N + m log m).
+single global hyper-rectangle of ``(lo, hi)`` bounds plus a scalar
+perturbation cost, updating the cost in O(1) per node and restoring both on
+backtrack.  The traversal runs on an explicit stack, so any tree depth fits.
+Ensembles whose cross-tree threshold spread strictly exceeds twice the
+attack budget are verified compositionally: per-tree minimal attack costs
+combine through the support-disjoint norm composition, so the whole check
+runs in O(N + m log m).
 
 The ensemble verdict is sound only under the spread precondition, so it is
 always checked (a comparison against the threshold gap each ensemble stores
@@ -24,10 +25,8 @@ from math import inf
 from typing import Optional, Sequence
 
 from .core import (
-    FULL_INTERVAL,
     DecisionTree,
     Ensemble,
-    Interval,
     Leaf,
     NormOrder,
     SpreadVerifyError,
@@ -97,43 +96,52 @@ class VerificationVerdict:
 def _wrong_leaf_costs(
     tree: DecisionTree, p: NormOrder, k: float, x: Sequence[float], y: int
 ) -> list[float]:
-    """Power-domain costs (each <= budget) of every reachable wrong leaf."""
+    """Power-domain costs (each <= budget) of every reachable wrong leaf.
+
+    An explicit stack, so any tree depth fits.  Each entry carries the undo
+    depth of its parent's ``(lo, hi)`` box, restored before its own narrowing.
+    """
     budget = norm_to_power(k, p)
     prune_budget = budget if (p == 0 or p == inf) else budget * _PRUNE_SLACK
-    rect: dict[int, Interval] = {}
+    box: dict[int, tuple[float, float]] = {}
+    undo: list[tuple[int, Optional[tuple[float, float]]]] = []
     out: list[float] = []
-
-    def visit(node, acc: float) -> None:
+    zero = 0 if p == 0 else 0.0
+    stack = [(tree.root, zero, 0, None, None)]
+    while stack:
+        node, acc, depth, f, bounds = stack.pop()
+        while len(undo) > depth:
+            g, previous = undo.pop()
+            if previous is None:
+                del box[g]
+            else:
+                box[g] = previous
+        if f is not None:
+            undo.append((f, box.get(f)))
+            box[f] = bounds
         if isinstance(node, Leaf):
             if node.label != y:
                 cost = rect_cost_power(
-                    ((f, iv.lo, iv.hi) for f, iv in sorted(rect.items())), x, p
+                    ((g, lo, hi) for g, (lo, hi) in sorted(box.items())), x, p
                 )
                 if cost <= budget:
                     out.append(cost)
-            return
+            continue
         f, v = node.feature, node.threshold
-        cur = rect.get(f, FULL_INTERVAL)
-        old_comp = _dist_raw(x[f], cur.lo, cur.hi)
-        for child, narrowed in (
-            (node.left, cur.intersect_le(v)),
-            (node.right, cur.intersect_gt(v)),
+        lo, hi = box.get(f, (-inf, inf))
+        old_comp = _dist_raw(x[f], lo, hi)
+        depth = len(undo)
+        # Right first, so the left subtree is popped (visited) first.
+        for child, child_lo, child_hi in (
+            (node.right, max(lo, v), hi),
+            (node.left, lo, min(hi, v)),
         ):
-            if narrowed.is_empty:
+            if child_lo >= child_hi:
                 continue  # no instance reaches this subtree
-            new_comp = _dist_raw(x[f], narrowed.lo, narrowed.hi)
-            new_acc = _update_power(p, acc, old_comp, new_comp)
+            new_acc = _update_power(p, acc, old_comp, _dist_raw(x[f], child_lo, child_hi))
             if new_acc > prune_budget:
                 continue  # the cost only grows deeper down
-            rect[f] = narrowed
-            visit(child, new_acc)
-        if cur.is_full:
-            rect.pop(f, None)
-        else:
-            rect[f] = cur
-
-    zero = 0 if p == 0 else 0.0
-    visit(tree.root, zero)
+            stack.append((child, new_acc, depth, f, (child_lo, child_hi)))
     return out
 
 
@@ -191,16 +199,12 @@ def _check_ensemble_args(
     return p, k
 
 
-def _require_large_spread(ensemble: Ensemble, p: NormOrder, k: float) -> None:
-    if not is_large_spread(ensemble, p, k):
-        raise NotLargeSpreadError(spread(ensemble, p), 2.0 * k)
-
-
 def _stability(
     ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
 ) -> tuple[bool, Optional[float]]:
     """(stable w.r.t. label y, composed attack norm when unstable)."""
-    _require_large_spread(ensemble, p, k)
+    if not is_large_spread(ensemble, p, k):
+        raise NotLargeSpreadError(spread(ensemble, p), 2.0 * k)
     need = (len(ensemble.trees) - 1) // 2 + 1
     minima: list[float] = []
     for tree in ensemble.trees:
@@ -252,12 +256,5 @@ def robustness_score(ensemble: Ensemble, p: NormOrder, k: float, testset) -> flo
     """Fraction of test instances on which the ensemble is robust."""
     if len(testset) == 0:
         raise ValueError("robustness over an empty test set is undefined")
-    p, k = check_norm_order(p), _check_budget(k)
-    if p == 0:
-        raise ValueError("ensemble verification supports p >= 1 or inf, not p = 0")
-    _require_large_spread(ensemble, p, k)
-    robust = 0
-    for x, y in testset.rows():
-        if robust_ensemble(ensemble, p, k, x, y).robust:
-            robust += 1
+    robust = sum(robust_ensemble(ensemble, p, k, x, y).robust for x, y in testset.rows())
     return robust / len(testset)

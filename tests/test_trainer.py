@@ -31,6 +31,7 @@ from spreadverify.cli import (
     stratified_split,
 )
 from spreadverify.synth import two_blob_dataset
+from spreadverify import trainer
 from spreadverify.trainer import _fix_in_place
 
 
@@ -225,7 +226,7 @@ def test_train_synthetic_success_is_large_spread():
     assert accuracy(model, data) >= 0.9
 
 
-def test_train_failure_returns_none_not_a_bad_model():
+def test_train_failure_returns_none_not_a_bad_model(monkeypatch):
     # Feature 0 takes two values (every tree learns the same midpoint split),
     # feature 1 is constant; a huge budget and a single sweep make the
     # overlaps unfixable.
@@ -235,7 +236,18 @@ def test_train_failure_returns_none_not_a_bad_model():
     y = np.array([-1] * (n // 2) + [1] * (n // 2))
     data = Dataset(X, y)
     cfg = TrainConfig(num_trees=5, max_depth=2, p=inf, k=100.0, max_iter=1, seed=0)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _fix_in_place(*args)
+
+    monkeypatch.setattr(trainer, "_fix_in_place", spy)
     assert train_large_spread(data, cfg) is None
+    # Of the 9 candidates, two are repaired and the rest fail.  Training
+    # stops once 3 selected + 1 left in the pool can no longer make 5 trees,
+    # without trying that last candidate.
+    assert len(calls) == 8
 
 
 def test_train_determinism_is_byte_exact():

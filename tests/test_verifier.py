@@ -7,8 +7,10 @@ import pytest
 
 from spreadverify import (
     DecisionTree,
+    Ensemble,
     Leaf,
     NotLargeSpreadError,
+    Split,
     exact_robust,
     leaf_regions,
     predict_tree,
@@ -143,6 +145,22 @@ def test_costs_nondecreasing_along_paths():
                     walk(child, {**rect, node.feature: bounds}, cost)
 
         walk(tree.root, {}, 0.0)
+
+
+def test_verification_of_a_5000_level_chain():
+    # Split i sends (i - 1, i] to a -1 leaf and the rest right; x = 5000.5
+    # passes every split to the final +1 leaf.  The nearest wrong leaf is
+    # (4998, 4999], 1.5 away; the next, 2.5 away, is out of budget.
+    chain = Leaf(1)
+    for level in reversed(range(5000)):
+        chain = Split(0, float(level), Leaf(-1), chain)
+    tree = DecisionTree(chain)
+    x = (5000.5,)
+    assert reachable(tree, inf, 2.0, x, 1) == frozenset({1.5})
+    assert not robust_tree(tree, inf, 2.0, x, 1)
+    verdict = robust_ensemble(Ensemble((tree,), 1), 2, 2.0, x, 1)
+    assert verdict.predicted == 1
+    assert verdict.min_attack_norm == 1.5
 
 
 # ---------------------------------------------------------------------------
