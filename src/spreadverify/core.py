@@ -504,6 +504,22 @@ def _flat_splits(trees: Sequence[DecisionTree]) -> list[tuple[int, float, int]]:
     ]
 
 
+def _feature_gap(entries: list[tuple[float, int]]) -> float:
+    """Smallest gap between the thresholds of distinct trees on one feature.
+
+    ``entries`` holds that feature's ``(threshold, tree index)`` pairs and
+    is sorted in place; the result is +inf when only one tree is present.
+    """
+    entries.sort()
+    best = inf
+    # The minimum cross-tree gap is realized by some adjacent pair (in
+    # sorted threshold order) whose trees differ.
+    for (v1, i1), (v2, i2) in itertools.pairwise(entries):
+        if i1 != i2 and v2 - v1 < best:
+            best = v2 - v1
+    return best
+
+
 def _min_cross_tree_gap(splits: Iterable[tuple[int, float, int]]) -> float:
     """Smallest ``|a - b|`` over same-feature thresholds of distinct trees.
 
@@ -513,15 +529,7 @@ def _min_cross_tree_gap(splits: Iterable[tuple[int, float, int]]) -> float:
     by_feature: dict[int, list[tuple[float, int]]] = {}
     for feature, threshold, tree in splits:
         by_feature.setdefault(feature, []).append((threshold, tree))
-    best = inf
-    for entries in by_feature.values():
-        entries.sort()
-        # The minimum cross-tree gap on a feature is realized by some
-        # adjacent pair (in sorted threshold order) whose trees differ.
-        for (v1, i1), (v2, i2) in itertools.pairwise(entries):
-            if i1 != i2 and v2 - v1 < best:
-                best = v2 - v1
-    return best
+    return min(map(_feature_gap, by_feature.values()), default=inf)
 
 
 def _gap_of(trees: "Ensemble | Sequence[DecisionTree]") -> float:

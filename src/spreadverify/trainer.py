@@ -6,10 +6,12 @@ large-spread trainer then grows an ensemble greedily: it always picks the
 pool tree with the fewest feature overlaps against the current selection and
 repairs remaining overlaps by pushing conflicting threshold pairs apart, one
 random offset per conflict, until the spread condition holds or the sweep
-budget runs out.  Trees whose repair fails are discarded, so every returned
-ensemble is large-spread by construction.  Selection and repair work on one
-flat list of ``(feature, threshold, tree index)`` splits, and the selected
-trees are rebuilt from it once training succeeds.
+budget runs out.  Each sweep visits only the features that still have a
+conflict, which makes the same draws as a sweep over every pair.  Trees
+whose repair fails are discarded, so every returned ensemble is large-spread
+by construction.  Selection and repair work on one flat list of
+``(feature, threshold, tree index)`` splits, and the selected trees are
+rebuilt from it, without recursion, once training succeeds.
 
 ``train_large_spread`` also partitions the features round-robin into
 ``config.partitions`` groups, trains an independent sub-ensemble per group
@@ -27,7 +29,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .core import (
     NormOrder,
     Node,
     Split,
+    _feature_gap,
     _flat_splits,
     _min_cross_tree_gap,
     check_norm_order,
@@ -239,12 +242,28 @@ def _rebuild(node: Node, pairs: Iterator[tuple[int, float]]) -> Node:
     """Copy of ``node`` whose splits take, in preorder, the next ``pairs``.
 
     Each pair is a ``(feature, threshold)``; leaves are shared unchanged.
+    The copy is assembled from the preorder node list read backwards, so
+    each split finds its left and then its right subtree on top of an
+    explicit stack, and no depth of tree recurses.
     """
-    if isinstance(node, Leaf):
-        return node
-    feature, threshold = next(pairs)
-    left = _rebuild(node.left, pairs)
-    return Split(feature, threshold, left, _rebuild(node.right, pairs))
+    preorder: list[Node] = []
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        preorder.append(cur)
+        if isinstance(cur, Split):
+            stack.append(cur.right)
+            stack.append(cur.left)
+    new_pairs = [next(pairs) for cur in preorder if isinstance(cur, Split)]
+    built: list[Node] = []
+    for cur in reversed(preorder):
+        if isinstance(cur, Leaf):
+            built.append(cur)
+        else:
+            feature, threshold = new_pairs.pop()
+            left = built.pop()
+            built.append(Split(feature, threshold, left, built.pop()))
+    return built[0]
 
 
 def _rebuild_trees(
@@ -336,27 +355,44 @@ def _fix_in_place(
     visited in list order of the first split, then of the second; each
     conflict draws one offset from (k, 2k] and moves the smaller threshold
     down and the larger one up, so a repaired pair ends strictly more than
-    2k apart.  At most ``max_iter`` sweeps run, and the first that finds no
-    conflict ends repair.  Returns False when the spread condition still
-    fails after the last sweep.
+    2k apart.  At most ``max_iter`` sweeps run, and repair ends when no
+    conflict is left.  Returns False when the spread condition still fails
+    after the last sweep.
+
+    A sweep visits only the splits of conflicted features, those with some
+    cross-tree pair at most 2k apart.  A threshold moves only when a pair on
+    its own feature conflicts, so a feature without conflict at the start
+    of a sweep would make no draw in it: skipping it leaves every draw, and
+    so every threshold and the state of ``rng``, as a sweep over all pairs
+    would.  Only the features a sweep repaired are checked again after it.
     """
     thresholds = [threshold for _, threshold, _ in splits]
     owners = [tree for _, _, tree in splits]
+    features = [feature for feature, _, _ in splits]
     by_feature: dict[int, list[int]] = {}
-    for i, (feature, _, _) in enumerate(splits):
+    for i, feature in enumerate(features):
         by_feature.setdefault(feature, []).append(i)
     gap = 2.0 * k
-    repaired = True
-    for _ in range(max_iter):
-        repaired = False
-        for i, (feature, _, tree) in enumerate(splits):
-            peers = by_feature[feature]
+
+    def conflicted(candidates: Iterable[int]) -> set[int]:
+        return {
+            f
+            for f in candidates
+            if _feature_gap([(thresholds[i], owners[i]) for i in by_feature[f]]) <= gap
+        }
+
+    todo = conflicted(by_feature)
+    sweeps = 0
+    while todo and sweeps < max_iter:
+        sweeps += 1
+        for i in sorted(i for f in todo for i in by_feature[f]):
+            tree = owners[i]
+            peers = by_feature[features[i]]
             for j in peers[bisect_right(peers, i):]:
                 if owners[j] == tree:
                     continue
                 v, w = thresholds[i], thresholds[j]
                 if abs(v - w) <= gap:
-                    repaired = True
                     offset = k + k * (1.0 - rng.random())  # uniform in (k, 2k]
                     if v <= w:
                         thresholds[i] = v - offset
@@ -364,10 +400,10 @@ def _fix_in_place(
                     else:
                         thresholds[i] = v + offset
                         thresholds[j] = w - offset
-        if not repaired:
-            break
-    splits[:] = [(f, v, t) for (f, _, t), v in zip(splits, thresholds)]
-    return not repaired or _min_cross_tree_gap(splits) > gap
+        todo = conflicted(todo)  # no other feature moved
+    splits[:] = [(f, v, t) for f, v, t in zip(features, thresholds, owners)]
+    # Fewer sweeps than allowed means the last one left no conflict.
+    return sweeps < max_iter or _min_cross_tree_gap(splits) > gap
 
 
 def fix_forest(

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from math import inf
 
 import numpy as np
@@ -32,6 +33,7 @@ from spreadverify.cli import (
 )
 from spreadverify.synth import two_blob_dataset
 from spreadverify import trainer
+from spreadverify.core import _min_cross_tree_gap
 from spreadverify.trainer import _fix_in_place
 
 
@@ -204,6 +206,80 @@ def test_fix_forest_failure_is_a_value():
     assert fix_forest(ensemble, inf, 50.0, max_iter=1, seed=0) is None
 
 
+def _full_sweep_fix(splits, k, max_iter, rng):
+    """Reference repair: every same-feature pair is compared on every sweep."""
+    thresholds = [threshold for _, threshold, _ in splits]
+    owners = [tree for _, _, tree in splits]
+    by_feature: dict[int, list[int]] = {}
+    for i, (feature, _, _) in enumerate(splits):
+        by_feature.setdefault(feature, []).append(i)
+    gap = 2.0 * k
+    repaired = True
+    for _ in range(max_iter):
+        repaired = False
+        for i, (feature, _, tree) in enumerate(splits):
+            peers = by_feature[feature]
+            for j in peers[bisect_right(peers, i):]:
+                if owners[j] == tree:
+                    continue
+                v, w = thresholds[i], thresholds[j]
+                if abs(v - w) <= gap:
+                    repaired = True
+                    offset = k + k * (1.0 - rng.random())  # uniform in (k, 2k]
+                    if v <= w:
+                        thresholds[i] = v - offset
+                        thresholds[j] = w + offset
+                    else:
+                        thresholds[i] = v + offset
+                        thresholds[j] = w - offset
+        if not repaired:
+            break
+    splits[:] = [(f, v, t) for (f, _, t), v in zip(splits, thresholds)]
+    return not repaired or _min_cross_tree_gap(splits) > gap
+
+
+def test_fix_in_place_matches_a_full_sweep_draw_for_draw():
+    # Thresholds on a half-unit grid over few features give same-tree pairs,
+    # equal thresholds and crowded features whose repair runs out of sweeps.
+    cases = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    single_sweep = 0
+    for seed in range(400):
+        splits = [
+            (cases.randrange(4), cases.randrange(12) * 0.5, tree)
+            for tree in range(cases.randint(1, 6))
+            for _ in range(cases.randint(1, 6))
+        ]
+        k = cases.choice((0.05, 0.2, 0.5, 1.0, 3.0))
+        max_iter = cases.choice((1, 1, 2, 3, 8, 100))
+        fast, reference = list(splits), list(splits)
+        fast_rng, reference_rng = random.Random(seed), random.Random(seed)
+        ok = _fix_in_place(fast, k, max_iter, fast_rng)
+        assert ok == _full_sweep_fix(reference, k, max_iter, reference_rng)
+        assert fast == reference
+        assert fast_rng.getstate() == reference_rng.getstate()
+        outcomes[ok] += 1
+        single_sweep += max_iter == 1
+    assert min(outcomes.values()) >= 40 and single_sweep >= 40
+
+
+def test_fix_forest_on_a_5000_level_chain():
+    # Split i of the chain sends x0 <= i to a -1 leaf; only its split at
+    # 2500 is within 2k of the second tree's 2500.05.
+    chain = Leaf(1)
+    for level in reversed(range(5000)):
+        chain = Split(0, float(level), Leaf(-1), chain)
+    ensemble = Ensemble((DecisionTree(chain), _stump(0, 2500.05), _stump(1, 0.0)), 2)
+    fixed = fix_forest(ensemble, inf, 0.1, max_iter=5, seed=3)
+    assert fixed is not None and is_large_spread(fixed, inf, 0.1)
+    for before, after, expected in zip(ensemble.trees, fixed.trees, ([2500], [0], [])):
+        assert after.node_count == before.node_count
+        sb, sa = list(iter_splits(before)), list(iter_splits(after))
+        assert [s.feature for s in sa] == [s.feature for s in sb]
+        moved = [i for i, (b, a) in enumerate(zip(sb, sa)) if a.threshold != b.threshold]
+        assert moved == expected
+
+
 # ---------------------------------------------------------------------------
 # large-spread training
 # ---------------------------------------------------------------------------
@@ -272,6 +348,8 @@ _GOLDEN = {
     ("plain", 11, 4, 2, 0.02, 1): "57be670af96ba7f073ac69ac07c250bb26841134643cf1c4633f9fcdd8751c0c",
     ("hierarchical", 9, 3, inf, 0.01, 0): "0f7156bf4c5160c54257495403049e92532010497987151f9adc3855c90e9355",
     ("fix_forest", 25, 5, inf, 0.005, 0): "d2ae9bb6bd7ed71229578fa876620cb4ea3add9c3df443896ffe509a01ef1a8c",
+    # max_iter=20: 3 of its 27 candidates fail repair and are discarded.
+    ("discard", 25, 4, inf, 0.05, 0): "9324074a4fbf6a8dbf58b1eb30d26097f09ea2ad1fb68896c2560f000723ff4b",
 }
 
 
@@ -285,6 +363,8 @@ def test_trained_models_match_golden_digests(bundled_train, key):
     kind, m, depth, p, k, seed = key
     if kind == "plain":
         model = train_large_spread(bundled_train, TrainConfig(m, depth, p, k, seed=seed))
+    elif kind == "discard":
+        model = train_large_spread(bundled_train, TrainConfig(m, depth, p, k, 20, seed=seed))
     elif kind == "hierarchical":
         config = TrainConfig(m, depth, p, k, partitions=3, seed=seed)
         model = train_hierarchical(bundled_train, config)
@@ -294,6 +374,18 @@ def test_trained_models_match_golden_digests(bundled_train, key):
     assert model is not None
     digest = hashlib.sha256(canonical_model_json(model).encode()).hexdigest()
     assert digest == _GOLDEN[key]
+
+
+def test_golden_discard_config_discards_candidates(bundled_train, monkeypatch):
+    results = []
+
+    def spy(*args):
+        results.append(_fix_in_place(*args))
+        return results[-1]
+
+    monkeypatch.setattr(trainer, "_fix_in_place", spy)
+    assert train_large_spread(bundled_train, TrainConfig(25, 4, inf, 0.05, 20, seed=0)) is not None
+    assert len(results) == 27 and results.count(False) == 3
 
 
 # ---------------------------------------------------------------------------
