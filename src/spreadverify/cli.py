@@ -5,8 +5,8 @@ Commands: ``train`` (large-spread training to a JSON model), ``verify``
 accepted for compatibility and has no effect), ``spread`` (the ensemble's
 threshold-spread value), ``oracle-check`` (randomized differential run of
 the fast verifier against the brute-force oracle, comparing verdicts and
-attack norms), ``gadget`` (clique/spread-subset cross-check on a graph file)
-and ``bench`` (wall-clock scaling of verification time).
+attack norms) and ``gadget`` (clique/spread-subset cross-check on a graph
+file).
 
 Exit codes: 0 success, 1 usage error, 2 training failure, 3 spread
 precondition violation, 4 exhaustive-search capacity exceeded.
@@ -198,15 +198,12 @@ def _node_from_dict(obj) -> Node:
         raise ValueError(f"malformed node: {obj!r}")
     if "leaf" in obj:
         return Leaf(int(obj["leaf"]))
-    try:
-        return Split(
-            int(obj["feature"]),
-            float(obj["threshold"]),
-            _node_from_dict(obj["left"]),
-            _node_from_dict(obj["right"]),
-        )
-    except KeyError as missing:
-        raise ValueError(f"malformed node, missing key {missing}") from None
+    return Split(
+        int(obj["feature"]),
+        float(obj["threshold"]),
+        _node_from_dict(obj["left"]),
+        _node_from_dict(obj["right"]),
+    )
 
 
 def ensemble_to_dict(ensemble: Ensemble) -> dict:
@@ -218,10 +215,19 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
 
 
 def ensemble_from_dict(obj: dict) -> Ensemble:
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed model: a {type(obj).__name__}, not an object")
     if obj.get("version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model version: {obj.get('version')!r}")
-    trees = tuple(DecisionTree(_node_from_dict(node)) for node in obj["trees"])
-    return Ensemble(trees, int(obj["d"]))
+    # One handler for the whole file: a missing key or a value of the wrong
+    # JSON type anywhere in it surfaces here, at no per-node cost.
+    try:
+        trees = tuple(DecisionTree(_node_from_dict(node)) for node in obj["trees"])
+        return Ensemble(trees, int(obj["d"]))
+    except KeyError as missing:
+        raise ValueError(f"malformed model, missing key {missing}") from None
+    except TypeError as err:
+        raise ValueError(f"malformed model: {err}") from None
 
 
 def canonical_model_json(ensemble: Ensemble) -> str:
@@ -521,56 +527,6 @@ def _cmd_gadget(args) -> int:
     return 0 if clique == subset else 1
 
 
-def _time_verification(ensemble, p, k, instances) -> float:
-    """Mean seconds per robust_ensemble call, best of three passes."""
-    y = 1
-    best = math.inf
-    for _ in range(3):
-        start = time.perf_counter()
-        for x in instances:
-            robust_ensemble(ensemble, p, k, x, y)
-        best = min(best, (time.perf_counter() - start) / len(instances))
-    return best
-
-
-def _cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
-    k = 1.0
-    p = math.inf
-    if args.family == "fixed":
-        sizes = [args.trees]
-    else:
-        sizes = [m for m in (5, 11, 23, 47, 101) if m <= args.trees]
-        if not sizes:
-            sizes = [args.trees]
-    rows = []
-    for m in sizes:
-        ensemble = synth.scaling_ensemble(rng, m, args.depth, args.d, k)
-        instances = [
-            synth.random_instance(rng, args.d, 0.0, m * 60.0)
-            for _ in range(args.instances)
-        ]
-        seconds = _time_verification(ensemble, p, k, instances)
-        rows.append(
-            {"trees": m, "nodes": ensemble.node_count, "us_per_instance": seconds * 1e6}
-        )
-    slope = None
-    if len(rows) >= 2:
-        xs = [math.log(r["nodes"]) for r in rows]
-        ys = [math.log(r["us_per_instance"]) for r in rows]
-        mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
-        denom = sum((x - mean_x) ** 2 for x in xs)
-        slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
-    human_lines = [
-        f"{r['trees']:>5} trees {r['nodes']:>8} nodes {r['us_per_instance']:>12.1f} us/instance"
-        for r in rows
-    ]
-    if slope is not None:
-        human_lines.append(f"log-log slope vs nodes: {slope:.3f}")
-    _emit(args, "\n".join(human_lines), {"rows": rows, "slope": slope})
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -642,15 +598,6 @@ def _build_parser() -> _Parser:
     p_gadget.add_argument("--s", type=int, required=True)
     add_common(p_gadget, seed=False)
     p_gadget.set_defaults(func=_cmd_gadget)
-
-    p_bench = sub.add_parser("bench", help="verification wall-clock scaling")
-    p_bench.add_argument("--family", choices=("scaling", "fixed"), default="scaling")
-    p_bench.add_argument("--trees", type=int, default=101)
-    p_bench.add_argument("--depth", type=int, default=6)
-    p_bench.add_argument("--d", type=int, default=10)
-    p_bench.add_argument("--instances", type=int, default=20)
-    add_common(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

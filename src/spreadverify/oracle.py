@@ -27,6 +27,7 @@ from .core import (
     HyperRectangle,
     Interval,
     Leaf,
+    Node,
     NormOrder,
     Split,
     _check_budget,
@@ -76,28 +77,29 @@ def _leaf_bounds(tree: DecisionTree) -> list[tuple[int, Bounds]]:
 
     Each child's hyper-rectangle is a fresh copy of its parent's with one
     feature narrowed; branches whose interval becomes empty are dropped, as
-    no instance can reach them.
+    no instance can reach them.  An explicit stack keeps deep trees off the
+    call stack; right children are pushed first so leaves come out in
+    preorder, the order the leaf-tuple search breaks ties by.
     """
     out: list[tuple[int, Bounds]] = []
-
-    def walk(node, rect: dict[int, tuple[float, float]]) -> None:
+    stack: list[tuple[Node, dict[int, tuple[float, float]]]] = [(tree.root, {})]
+    while stack:
+        node, rect = stack.pop()
         if isinstance(node, Leaf):
             out.append((node.label, tuple(sorted((f, b[0], b[1]) for f, b in rect.items()))))
-            return
+            continue
         f, v = node.feature, node.threshold
         lo, hi = rect.get(f, (-inf, inf))
-        left_hi = min(hi, v)
-        if lo < left_hi:
-            child = dict(rect)
-            child[f] = (lo, left_hi)
-            walk(node.left, child)
         right_lo = max(lo, v)
         if right_lo < hi:
             child = dict(rect)
             child[f] = (right_lo, hi)
-            walk(node.right, child)
-
-    walk(tree.root, {})
+            stack.append((node.right, child))
+        left_hi = min(hi, v)
+        if lo < left_hi:
+            child = dict(rect)
+            child[f] = (lo, left_hi)
+            stack.append((node.left, child))
     return out
 
 
@@ -257,18 +259,7 @@ def minimal_attack(
     Returns ``None`` when no perturbation at all can make the ensemble output
     a label different from ``y``.
     """
-    p = check_norm_order(p)
-    _check_finite(x)
-    if y not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
-    per_tree, wrong_flags = _prepare(ensemble.trees, y, max_leaf_tuples)
-    if predict_ensemble(ensemble, x) != y:
-        return AttackWitness(tuple(float(v) for v in x), 0.0)
-    need = (len(ensemble.trees) - 1) // 2 + 1
-    cost, rect = _search_min_attack(per_tree, wrong_flags, need, False, p, inf, x)
-    if cost is None:
-        return None
-    return AttackWitness(_witness_vector(x, rect), power_to_norm(cost, p))
+    return exact_robust(ensemble, p, inf, x, y, max_leaf_tuples)[1]
 
 
 def minimal_joint_attack(

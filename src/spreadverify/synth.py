@@ -1,10 +1,10 @@
 """Synthetic model, instance and dataset generators.
 
-Used by the differential test suites and the benchmark command: random trees
-and guaranteed-large-spread verification cases (with the budget sampled
-strictly below half the measured spread), instances placed exactly on or one
-ulp away from thresholds, banded ensembles for timing scaling runs, and
-two-blob datasets for training sanity checks.
+Used by the differential test suites, ``oracle-check`` and the benchmark:
+random trees and guaranteed-large-spread verification cases (with the budget
+sampled strictly below half the measured spread), instances placed exactly on
+or one ulp away from thresholds, banded ensembles for timing scaling runs,
+and two-blob datasets for training sanity checks.
 """
 
 from __future__ import annotations

@@ -369,27 +369,6 @@ def test_gadget_capacity_exit_code(tmp_path, capsys):
     assert main(["gadget", "--graph", str(graph_path), "--s", "2"]) == 4
 
 
-def test_bench_fixed_command(capsys):
-    assert main(
-        ["bench", "--family", "fixed", "--trees", "3", "--depth", "3",
-         "--d", "4", "--instances", "3", "--seed", "0", "--json"]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["rows"][0]["trees"] == 3
-
-
-def test_bench_scaling_rows_monotone_in_node_count(capsys):
-    assert main(
-        ["bench", "--family", "scaling", "--trees", "47", "--depth", "5",
-         "--d", "6", "--instances", "10", "--seed", "1", "--json"]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    nodes = [row["nodes"] for row in payload["rows"]]
-    times = [row["us_per_instance"] for row in payload["rows"]]
-    assert nodes == sorted(nodes)
-    assert times == sorted(times)
-
-
 def test_train_hierarchical_from_cli(tmp_path, capsys):
     data = two_blob_dataset(41, 160, 6)
     csv_path = tmp_path / "data.csv"
@@ -423,6 +402,7 @@ def test_seed_env_var_is_default(capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert main(["verify", "--model", "x"]) == 1  # missing required args
     assert main(["no-such-command"]) == 1
+    assert main(["bench"]) == 1  # timing lives in perfbench, not the CLI
     assert main(["train", "--data", "d.csv", "--trees", "3", "--depth", "2",
                  "--p", "bogus", "--k", "1", "--out", "m.json"]) == 1
 
@@ -430,3 +410,20 @@ def test_usage_error_exit_code(capsys):
 def test_missing_file_is_reported(capsys, tmp_path):
     assert main(["spread", "--model", str(tmp_path / "nope.json"), "--p", "1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[]",
+        '{"version": 1, "d": 1, "trees": 5}',
+        '{"version": 1, "d": 1, "trees": [{"feature": [0], "threshold": 0.5,'
+        ' "left": {"leaf": -1}, "right": {"leaf": 1}}]}',
+        '{"version": 1, "d": 1, "trees": [{"leaf": null}]}',
+        '{"version": 1, "d": 1}',
+    ],
+)
+def test_malformed_model_file_is_reported(capsys, tmp_path, body):
+    model_path = _write(tmp_path, "model.json", body)
+    assert main(["spread", "--model", str(model_path), "--p", "1"]) == 1
+    assert "error: malformed model" in capsys.readouterr().err

@@ -161,6 +161,10 @@ def test_verification_of_a_5000_level_chain():
     verdict = robust_ensemble(Ensemble((tree,), 1), 2, 2.0, x, 1)
     assert verdict.predicted == 1
     assert verdict.min_attack_norm == 1.5
+    # The oracle walks the same chain without recursion and agrees.
+    assert len(leaf_regions(tree)) == 5001
+    robust, witness = exact_robust(Ensemble((tree,), 1), 2, 2.0, x, 1)
+    assert not robust and witness.norm_value == 1.5
 
 
 # ---------------------------------------------------------------------------
