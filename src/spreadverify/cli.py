@@ -62,6 +62,9 @@ __all__ = [
 
 SEED_ENV_VAR = "SPREADVERIFY_SEED"
 MODEL_SCHEMA_VERSION = 1
+# Python's json module and the nested v1 format cannot hold trees deeper
+# than the interpreter's recursion limit (about 1,000 levels).
+_TOO_DEEP = "trees nest too deeply for the v1 model format"
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +200,10 @@ def _node_from_dict(obj) -> Node:
     if not isinstance(obj, dict):
         raise ValueError(f"malformed node: {obj!r}")
     if "leaf" in obj:
-        return Leaf(int(obj["leaf"]))
+        return Leaf(obj["leaf"])
     return Split(
-        int(obj["feature"]),
-        float(obj["threshold"]),
+        obj["feature"],
+        obj["threshold"],
         _node_from_dict(obj["left"]),
         _node_from_dict(obj["right"]),
     )
@@ -219,32 +222,46 @@ def ensemble_from_dict(obj: dict) -> Ensemble:
         raise ValueError(f"malformed model: a {type(obj).__name__}, not an object")
     if obj.get("version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model version: {obj.get('version')!r}")
-    # One handler for the whole file: a missing key or a value of the wrong
-    # JSON type anywhere in it surfaces here, at no per-node cost.
+    # One handler for the whole file: a missing key, a value of the wrong
+    # JSON type or a tree nested too deeply anywhere in it surfaces here, at
+    # no per-node cost.
     try:
         trees = tuple(DecisionTree(_node_from_dict(node)) for node in obj["trees"])
-        return Ensemble(trees, int(obj["d"]))
+        return Ensemble(trees, obj["d"])
     except KeyError as missing:
         raise ValueError(f"malformed model, missing key {missing}") from None
     except TypeError as err:
         raise ValueError(f"malformed model: {err}") from None
+    except RecursionError:
+        raise ValueError(f"malformed model: {_TOO_DEEP}") from None
 
 
 def canonical_model_json(ensemble: Ensemble) -> str:
     """Canonical serialized form: sorted keys, no whitespace, full-precision
-    shortest round-trip decimals for thresholds."""
-    return json.dumps(ensemble_to_dict(ensemble), sort_keys=True, separators=(",", ":"))
+    shortest round-trip decimals for thresholds.
+
+    Raises ValueError for trees nested too deeply for the nested v1 format.
+    """
+    try:
+        return json.dumps(ensemble_to_dict(ensemble), sort_keys=True, separators=(",", ":"))
+    except RecursionError:
+        raise ValueError(f"model {_TOO_DEEP}") from None
 
 
 def save_model(ensemble: Ensemble, path) -> None:
+    text = canonical_model_json(ensemble)
     with open(path, "w") as handle:
-        handle.write(canonical_model_json(ensemble))
+        handle.write(text)
         handle.write("\n")
 
 
 def load_model(path) -> Ensemble:
     with open(path, "r") as handle:
-        return ensemble_from_dict(json.load(handle))
+        try:
+            obj = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"malformed model: {_TOO_DEEP}") from None
+    return ensemble_from_dict(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +519,9 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_gadget(args) -> int:
     with open(args.graph, "r") as handle:
         graph = gadget_mod.parse_graph(handle.read())
-    trees, features = gadget_mod.graph_to_ensemble(graph)
+    # The clique search checks its capacity before any tree is built.
     clique = gadget_mod.clique_exists(graph, args.s)
+    trees, features = gadget_mod.graph_to_ensemble(graph)
     subset = oracle.exists_large_spread_subset(trees, args.s, 0, 0.0)
     _emit(
         args,

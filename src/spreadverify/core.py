@@ -21,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from math import fsum, inf, isfinite, nextafter
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "SpreadVerifyError",
@@ -238,12 +238,30 @@ class HyperRectangle:
 # ---------------------------------------------------------------------------
 
 
+# The exact-type tests come first: building a large model runs these once per
+# node, and the numbers ABC checks alone are measurably slower.
+def _as_int(value, what: str) -> int:
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_float(value, what: str) -> float:
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{what} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Leaf:
     label: int
 
     def __post_init__(self) -> None:
-        label = int(self.label)
+        label = _as_int(self.label, "leaf label")
         if label not in (-1, 1):
             raise ValueError(f"leaf label must be +1 or -1, got {self.label!r}")
         object.__setattr__(self, "label", label)
@@ -257,8 +275,8 @@ class Split:
     right: "Node"
 
     def __post_init__(self) -> None:
-        feature = int(self.feature)
-        threshold = float(self.threshold)
+        feature = _as_int(self.feature, "feature index")
+        threshold = _as_float(self.threshold, "threshold")
         if feature < 0:
             raise ValueError(f"feature index must be >= 0, got {self.feature!r}")
         if not isfinite(threshold):
@@ -309,7 +327,7 @@ class Ensemble:
 
     def __post_init__(self) -> None:
         trees = tuple(self.trees)
-        d = int(self.dimensionality)
+        d = _as_int(self.dimensionality, "dimensionality")
         if len(trees) % 2 == 0 or not trees:
             raise ValueError(f"ensemble needs an odd number of trees, got {len(trees)}")
         if d < 0:
@@ -446,15 +464,16 @@ def _update_power(p: NormOrder, acc: float, old_comp: float, new_comp: float) ->
 
 
 def rect_cost_power(
-    bounds: Iterable[tuple[int, float, float]], x: Sequence[float], p: NormOrder
+    box: Mapping[int, tuple[float, float]], x: Sequence[float], p: NormOrder
 ) -> float:
     """Power-domain cost of moving ``x`` inside a hyper-rectangle.
 
-    ``bounds`` iterates ``(feature, lo, hi)`` triples in ascending feature
-    order; unconstrained features contribute nothing.
+    ``box`` maps each constrained feature to its ``(lo, hi)`` bounds, in any
+    order: the aggregation (fsum, max or an integer count) does not depend
+    on it.  Unconstrained features contribute nothing.
     """
     return power_total(
-        (power_contrib(_dist_raw(x[f], lo, hi), p) for f, lo, hi in bounds), p
+        (power_contrib(_dist_raw(x[f], lo, hi), p) for f, (lo, hi) in box.items()), p
     )
 
 

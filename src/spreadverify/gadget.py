@@ -89,18 +89,18 @@ def graph_to_ensemble(
     Trees of vertices u, v share a feature iff {u, v} is not a graph edge.
     """
     features = {edge: i for i, edge in enumerate(_complement_edges(graph))}
-
-    def chain(feature_ids: list[int]) -> Node:
-        if not feature_ids:
-            return Leaf(1)
-        return Split(feature_ids[0], 1.0, Leaf(-1), chain(feature_ids[1:]))
-
+    # Features come in ascending index order, so each list ends up sorted.
+    incident: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    for (a, b), idx in features.items():
+        incident[a].append(idx)
+        incident[b].append(idx)
     trees = []
-    for v in range(graph.num_vertices):
-        incident = sorted(
-            idx for (a, b), idx in features.items() if v in (a, b)
-        )
-        trees.append(DecisionTree(chain(incident)))
+    for feature_ids in incident:
+        # Built bottom-up, so any chain length fits.
+        node: Node = Leaf(1)
+        for idx in reversed(feature_ids):
+            node = Split(idx, 1.0, Leaf(-1), node)
+        trees.append(DecisionTree(node))
     return trees, features
 
 

@@ -2,11 +2,12 @@
 
 Everything here is exponential-time by design and bounded by explicit
 capacity limits: leaf tuples are enumerated one leaf per tree, each leaf's
-hyper-rectangle recomputed independently top-down (the quadratic method the
-fast verifier optimizes away), so the two sides share no traversal code and
-can certify each other.  Per-feature distances and norm aggregation reuse the
-same core primitives as the verifier, which keeps knife-edge instances
-(values one ulp from a threshold) consistent across both.
+``{feature: (lo, hi)}`` box recomputed independently top-down (the quadratic
+method the fast verifier optimizes away), so the two sides share no
+traversal code and can certify each other.  Boxes are costed by the same
+core primitive as the verifier's, :func:`core.rect_cost_power`, which keeps
+knife-edge instances (values one ulp from a threshold) consistent across
+both.
 
 Also provides the constructive split of a joint two-tree attack into
 support-disjoint halves, and the exhaustive search for large-spread subsets
@@ -69,24 +70,25 @@ class AttackWitness:
 # Independent per-leaf annotation
 # ---------------------------------------------------------------------------
 
-Bounds = tuple[tuple[int, float, float], ...]  # sorted (feature, lo, hi) triples
+Box = dict[int, tuple[float, float]]  # feature -> (lo, hi]; absent is unconstrained
 
 
-def _leaf_bounds(tree: DecisionTree) -> list[tuple[int, Bounds]]:
-    """(label, constraining bounds) for every leaf, recomputed per leaf.
+def _leaf_bounds(tree: DecisionTree) -> list[tuple[int, Box]]:
+    """(label, reaching box) for every leaf, recomputed per leaf.
 
-    Each child's hyper-rectangle is a fresh copy of its parent's with one
-    feature narrowed; branches whose interval becomes empty are dropped, as
-    no instance can reach them.  An explicit stack keeps deep trees off the
-    call stack; right children are pushed first so leaves come out in
-    preorder, the order the leaf-tuple search breaks ties by.
+    Each child's box is a fresh copy of its parent's with one feature
+    narrowed, so every leaf keeps a box of its own; branches whose interval
+    becomes empty are dropped, as no instance can reach them.  An explicit
+    stack keeps deep trees off the call stack; right children are pushed
+    first so leaves come out in preorder, the order the leaf-tuple search
+    breaks ties by.
     """
-    out: list[tuple[int, Bounds]] = []
-    stack: list[tuple[Node, dict[int, tuple[float, float]]]] = [(tree.root, {})]
+    out: list[tuple[int, Box]] = []
+    stack: list[tuple[Node, Box]] = [(tree.root, {})]
     while stack:
         node, rect = stack.pop()
         if isinstance(node, Leaf):
-            out.append((node.label, tuple(sorted((f, b[0], b[1]) for f, b in rect.items()))))
+            out.append((node.label, rect))
             continue
         f, v = node.feature, node.threshold
         lo, hi = rect.get(f, (-inf, inf))
@@ -106,8 +108,8 @@ def _leaf_bounds(tree: DecisionTree) -> list[tuple[int, Bounds]]:
 def leaf_regions(tree: DecisionTree) -> list[tuple[int, HyperRectangle]]:
     """Label and reaching hyper-rectangle for every (satisfiable) leaf."""
     return [
-        (label, HyperRectangle((f, Interval(lo, hi)) for f, lo, hi in bounds))
-        for label, bounds in _leaf_bounds(tree)
+        (label, HyperRectangle((f, Interval(lo, hi)) for f, (lo, hi) in box.items()))
+        for label, box in _leaf_bounds(tree)
     ]
 
 
@@ -126,11 +128,9 @@ def _check_capacity(per_tree: Sequence[Sequence], limit: int) -> None:
             )
 
 
-def _intersect(
-    rect: dict[int, tuple[float, float]], bounds: Bounds
-) -> Optional[dict[int, tuple[float, float]]]:
+def _intersect(rect: Box, box: Box) -> Optional[Box]:
     child = dict(rect)
-    for f, lo, hi in bounds:
+    for f, (lo, hi) in box.items():
         clo, chi = child.get(f, (-inf, inf))
         nlo, nhi = max(clo, lo), min(chi, hi)
         if nlo >= nhi:
@@ -139,62 +139,56 @@ def _intersect(
     return child
 
 
-def _rect_cost(rect: dict[int, tuple[float, float]], x: Sequence[float], p: NormOrder) -> float:
-    return rect_cost_power(((f, b[0], b[1]) for f, b in sorted(rect.items())), x, p)
-
-
 def _search_min_attack(
-    per_tree: list[list[tuple[int, Bounds]]],
-    wrong_flags: list[list[bool]],
+    per_tree: list[list[tuple[int, Box]]],
+    y: int,
     need_wrong: int,
-    require_all_wrong: bool,
     p: NormOrder,
     budget_pow: float,
     x: Sequence[float],
-) -> tuple[Optional[float], Optional[dict[int, tuple[float, float]]]]:
-    """Depth-first enumeration of leaf tuples; returns (min cost, its rectangle).
+) -> tuple[Optional[float], Optional[Box]]:
+    """Depth-first enumeration of leaf tuples; returns (min cost, its box).
 
-    Prunes branches whose partial cost already exceeds the budget or the best
-    candidate so far (sound: intersecting further leaves only shrinks the
-    rectangle, so the cost is non-decreasing), and branches that can no
-    longer reach the required number of wrong votes.  The first tuple
-    attaining the minimum (in tree-major, leaf-minor order) wins ties, so the
-    result is deterministic.
+    A leaf votes wrong when its label differs from ``y``.  Prunes a leaf
+    whose vote leaves too few trees to reach ``need_wrong`` wrong votes
+    (with ``need_wrong`` equal to the tree count, every right-label leaf
+    goes before any intersection), and branches whose partial cost already
+    exceeds the budget or the best candidate so far (sound: intersecting
+    further leaves only shrinks the box, so the cost is non-decreasing).
+    The first tuple attaining the minimum (in tree-major, leaf-minor order)
+    wins ties, so the result is deterministic.
     """
     m = len(per_tree)
     best_cost: Optional[float] = None
-    best_rect: Optional[dict[int, tuple[float, float]]] = None
+    best_rect: Optional[Box] = None
 
-    def rec(i: int, rect: dict[int, tuple[float, float]], wrong: int) -> None:
+    def rec(i: int, rect: Box, wrong: int) -> None:
         nonlocal best_cost, best_rect
-        if wrong + (m - i) < need_wrong:
-            return
         if i == m:
-            if wrong >= need_wrong:
-                cost = _rect_cost(rect, x, p)
-                if cost <= budget_pow and (best_cost is None or cost < best_cost):
-                    best_cost, best_rect = cost, rect
+            cost = rect_cost_power(rect, x, p)
+            if cost <= budget_pow and (best_cost is None or cost < best_cost):
+                best_cost, best_rect = cost, rect
             return
-        for (label, bounds), is_wrong in zip(per_tree[i], wrong_flags[i]):
-            if require_all_wrong and not is_wrong:
+        later = m - i - 1
+        for label, box in per_tree[i]:
+            votes = wrong + (label != y)
+            if votes + later < need_wrong:
                 continue
-            child = _intersect(rect, bounds)
+            child = _intersect(rect, box)
             if child is None:
                 continue
-            partial = _rect_cost(child, x, p)
+            partial = rect_cost_power(child, x, p)
             if partial > budget_pow:
                 continue
             if best_cost is not None and partial > best_cost:
                 continue
-            rec(i + 1, child, wrong + (1 if is_wrong else 0))
+            rec(i + 1, child, votes)
 
     rec(0, {}, 0)
     return best_cost, best_rect
 
 
-def _witness_vector(
-    x: Sequence[float], rect: dict[int, tuple[float, float]]
-) -> tuple[float, ...]:
+def _witness_vector(x: Sequence[float], rect: Box) -> tuple[float, ...]:
     # Components are placed exactly: inside values stay, pushes up land on the
     # float successor of the open lower bound, pushes down on the closed
     # upper bound.  Membership therefore holds exactly, so the witness
@@ -208,12 +202,11 @@ def _witness_vector(
 
 
 def _prepare(
-    trees: Sequence[DecisionTree], y: int, max_leaf_tuples: int
-) -> tuple[list[list[tuple[int, Bounds]]], list[list[bool]]]:
+    trees: Sequence[DecisionTree], max_leaf_tuples: int
+) -> list[list[tuple[int, Box]]]:
     per_tree = [_leaf_bounds(t) for t in trees]
     _check_capacity(per_tree, max_leaf_tuples)
-    wrong_flags = [[label != y for label, _ in leaves] for leaves in per_tree]
-    return per_tree, wrong_flags
+    return per_tree
 
 
 def exact_robust(
@@ -235,13 +228,11 @@ def exact_robust(
     _check_finite(x)
     if y not in (-1, 1):
         raise ValueError(f"label must be +1 or -1, got {y!r}")
-    per_tree, wrong_flags = _prepare(ensemble.trees, y, max_leaf_tuples)
+    per_tree = _prepare(ensemble.trees, max_leaf_tuples)
     if predict_ensemble(ensemble, x) != y:
         return False, AttackWitness(tuple(float(v) for v in x), 0.0)
     need = (len(ensemble.trees) - 1) // 2 + 1
-    cost, rect = _search_min_attack(
-        per_tree, wrong_flags, need, False, p, norm_to_power(k, p), x
-    )
+    cost, rect = _search_min_attack(per_tree, y, need, p, norm_to_power(k, p), x)
     if cost is None:
         return True, None
     return False, AttackWitness(_witness_vector(x, rect), power_to_norm(cost, p))
@@ -276,13 +267,16 @@ def minimal_joint_attack(
     """
     p = check_norm_order(p)
     seq = tree_sequence(trees)
+    hi_feature = max((t.max_feature for t in seq), default=-1)
+    if hi_feature >= len(x):
+        raise ValueError(
+            f"instance has {len(x)} features but the trees test feature {hi_feature}"
+        )
     _check_finite(x)
     if y not in (-1, 1):
         raise ValueError(f"label must be +1 or -1, got {y!r}")
-    per_tree, wrong_flags = _prepare(seq, y, max_leaf_tuples)
-    cost, rect = _search_min_attack(
-        per_tree, wrong_flags, len(seq), True, p, inf, x
-    )
+    per_tree = _prepare(seq, max_leaf_tuples)
+    cost, rect = _search_min_attack(per_tree, y, len(seq), p, inf, x)
     if cost is None:
         return None
     return AttackWitness(_witness_vector(x, rect), power_to_norm(cost, p))

@@ -121,9 +121,7 @@ def _wrong_leaf_costs(
             box[f] = bounds
         if isinstance(node, Leaf):
             if node.label != y:
-                cost = rect_cost_power(
-                    ((g, lo, hi) for g, (lo, hi) in sorted(box.items())), x, p
-                )
+                cost = rect_cost_power(box, x, p)
                 if cost <= budget:
                     out.append(cost)
             continue

@@ -365,8 +365,10 @@ def test_gadget_command(tmp_path, capsys):
 
 
 def test_gadget_capacity_exit_code(tmp_path, capsys):
-    graph_path = _write(tmp_path, "big.txt", "13 0\n")
-    assert main(["gadget", "--graph", str(graph_path), "--s", "2"]) == 4
+    # 1100 vertices: capacity is reported before any 1,099-split chain is built.
+    for body, s in (("13 0\n", "2"), ("1100 0\n", "3")):
+        graph_path = _write(tmp_path, "big.txt", body)
+        assert main(["gadget", "--graph", str(graph_path), "--s", s]) == 4
 
 
 def test_train_hierarchical_from_cli(tmp_path, capsys):
@@ -421,9 +423,36 @@ def test_missing_file_is_reported(capsys, tmp_path):
         ' "left": {"leaf": -1}, "right": {"leaf": 1}}]}',
         '{"version": 1, "d": 1, "trees": [{"leaf": null}]}',
         '{"version": 1, "d": 1}',
+        # Values of the wrong JSON type are refused, not coerced: feature 2.7,
+        # a string threshold, leaf labels -1.9 and true, and d = 3.9.
+        '{"version": 1, "d": 3, "trees": [{"feature": 2.7, "threshold": 0.5,'
+        ' "left": {"leaf": -1}, "right": {"leaf": 1}}]}',
+        '{"version": 1, "d": 3, "trees": [{"feature": 2, "threshold": "0.5",'
+        ' "left": {"leaf": -1}, "right": {"leaf": 1}}]}',
+        '{"version": 1, "d": 1, "trees": [{"leaf": -1.9}]}',
+        '{"version": 1, "d": 1, "trees": [{"leaf": true}]}',
+        '{"version": 1, "d": 3.9, "trees": [{"leaf": 1}]}',
+        pytest.param(
+            '{"version": 1, "d": 1, "trees": ['
+            + '{"feature": 0, "threshold": 0.5, "left": {"leaf": -1}, "right": ' * 1500
+            + '{"leaf": 1}' + "}" * 1500 + "]}",
+            id="1500-level-chain",
+        ),
     ],
 )
 def test_malformed_model_file_is_reported(capsys, tmp_path, body):
     model_path = _write(tmp_path, "model.json", body)
     assert main(["spread", "--model", str(model_path), "--p", "1"]) == 1
     assert "error: malformed model" in capsys.readouterr().err
+
+
+def test_saving_a_tree_too_deep_for_the_format_raises(tmp_path):
+    chain = Leaf(1)
+    for level in reversed(range(1500)):
+        chain = Split(0, float(level), Leaf(-1), chain)
+    ensemble = Ensemble((DecisionTree(chain),), 1)
+    with pytest.raises(ValueError, match="too deeply"):
+        canonical_model_json(ensemble)
+    with pytest.raises(ValueError, match="too deeply"):
+        save_model(ensemble, tmp_path / "deep.json")
+    assert not (tmp_path / "deep.json").exists()

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import inf, nextafter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,29 @@ def test_split_rejects_bad_fields():
         Split(-1, 1.0, Leaf(1), Leaf(-1))
     with pytest.raises(ValueError):
         Split(0, math.nan, Leaf(1), Leaf(-1))
+
+
+def test_model_types_refuse_what_they_would_coerce():
+    stump = DecisionTree(Split(0, 0.5, Leaf(-1), Leaf(1)))
+    for bad_label in (True, -1.9, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Leaf(bad_label)
+    for bad_feature in (True, 2.7, 0.0, "0"):
+        with pytest.raises(TypeError):
+            Split(bad_feature, 0.5, Leaf(-1), Leaf(1))
+    for bad_threshold in (False, "0.5", None):
+        with pytest.raises(TypeError):
+            Split(0, bad_threshold, Leaf(-1), Leaf(1))
+    for bad_d in (True, 3.9, "3"):
+        with pytest.raises(TypeError):
+            Ensemble((stump,), bad_d)
+    # NumPy scalars and exact Python numbers are still accepted.
+    split = Split(np.int64(2), np.float32(0.5), Leaf(np.int8(-1)), Leaf(1))
+    assert split == Split(2, 0.5, Leaf(-1), Leaf(1))
+    assert type(split.feature) is int and type(split.threshold) is float
+    assert type(split.left.label) is int
+    assert Split(0, 1, Leaf(-1), Leaf(1)).threshold == 1.0
+    assert Ensemble((stump,), np.int32(3)).dimensionality == 3
 
 
 def test_ensemble_rejects_even_tree_count(stump_trio):

@@ -285,6 +285,13 @@ def test_oracle_rejects_non_finite_coordinates(two_feature_stumps, bad):
         split_attack(ta, tb, (3.0, 3.0), x)
 
 
+def test_joint_attack_checks_instance_width():
+    tree = DecisionTree(Split(1, 0.5, Leaf(-1), Leaf(1)))
+    with pytest.raises(ValueError, match="features"):
+        minimal_joint_attack([tree], 2, (0.0,), 1)
+    assert minimal_joint_attack([tree], 2, (0.0, 0.0), -1).norm_value == pytest.approx(0.5)
+
+
 # ---------------------------------------------------------------------------
 # large-spread subsets
 # ---------------------------------------------------------------------------

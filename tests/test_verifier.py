@@ -112,9 +112,7 @@ def test_reachable_matches_per_leaf_recomputation_exactly():
         for label, rect in leaf_regions(tree):
             if label == y:
                 continue
-            cost = rect_cost_power(
-                ((f, iv.lo, iv.hi) for f, iv in rect.items()), x, p
-            )
+            cost = rect_cost_power({f: (iv.lo, iv.hi) for f, iv in rect.items()}, x, p)
             if cost <= budget:
                 naive.add(power_to_norm(cost, p))
         assert set(reachable(tree, p, k, x, y)) == naive
@@ -131,9 +129,7 @@ def test_costs_nondecreasing_along_paths():
         p = rng.choice((0, 1, 2, inf))
 
         def walk(node, rect, prev_cost):
-            cost = rect_cost_power(
-                ((f, lo, hi) for f, (lo, hi) in sorted(rect.items())), x, p
-            )
+            cost = rect_cost_power(rect, x, p)
             assert cost >= prev_cost
             if isinstance(node, Leaf):
                 return
