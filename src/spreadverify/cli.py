@@ -39,6 +39,8 @@ from .core import (
     Node,
     NormOrder,
     Split,
+    _check_attacker,
+    check_norm_order,
     predict_ensemble,
     spread,
 )
@@ -325,17 +327,12 @@ def _json_float(value: float):
 
 
 def _parse_norm(text: str) -> NormOrder:
-    if text == "inf":
-        return math.inf
     try:
-        value = int(text)
+        return check_norm_order(math.inf if text == "inf" else int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"norm must be '0', a positive integer or 'inf', got {text!r}"
         ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"norm must be >= 0, got {text!r}")
-    return value
 
 
 def _default_seed() -> int:
@@ -418,9 +415,7 @@ def _verify_rows(model, p, k, dataset) -> list[InstanceVerdict]:
 
 
 def _cmd_verify(args) -> int:
-    if args.p == 0:
-        raise ValueError("ensemble verification supports p >= 1 or inf, not p = 0")
-    attacker = AttackerModel(args.p, args.k)
+    attacker = AttackerModel(*_check_attacker(args.p, args.k))
     timings = {}
     start = time.perf_counter()
     model = load_model(args.model)

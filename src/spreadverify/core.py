@@ -7,6 +7,14 @@ brute-force oracle so both sides compute bit-identical costs), and the
 cross-tree threshold-spread metric that makes compositional verification
 sound.
 
+It also holds the one input policy that every public entry point applies:
+``_as_int``, ``_as_float``, ``_as_count`` and ``_as_label`` refuse strings
+and bools with TypeError (NumPy scalars pass); :func:`check_norm_order`,
+``_check_budget`` (k >= 0), ``_check_attacker`` (p >= 1 or inf, k >= 0),
+``_check_instance`` (finite coordinates, a label in {-1, +1}) and
+``_check_width`` (x covers every feature the trees test) refuse
+out-of-range values with ValueError.  Nothing is coerced.
+
 All types are immutable after construction and all functions are pure, so
 everything here is safe for unrestricted concurrent use.  The one value an
 :class:`Ensemble` stores beyond its trees, the minimum cross-tree threshold
@@ -64,7 +72,7 @@ class CapacityError(SpreadVerifyError):
 
 
 # ---------------------------------------------------------------------------
-# Norm orders
+# Input policy: norm orders, numbers, budgets, instances and labels
 # ---------------------------------------------------------------------------
 
 #: A norm order is 0, a positive integer, or math.inf.
@@ -84,11 +92,52 @@ def check_norm_order(p: NormOrder) -> NormOrder:
     raise ValueError(f"norm order must be 0, a positive integer or inf, got {p!r}")
 
 
+# The exact-type tests come first: building a large model runs these once per
+# node, and the numbers ABC checks alone are measurably slower.
+def _as_int(value, what: str) -> int:
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_float(value, what: str) -> float:
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{what} must be a real number, got {value!r}")
+
+
+def _as_count(value, what: str) -> int:
+    # A count or an index: an integer >= 0.
+    n = _as_int(value, what)
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0, got {value!r}")
+    return n
+
+
+def _as_label(value, what: str) -> int:
+    label = _as_int(value, what)
+    if label not in (-1, 1):
+        raise ValueError(f"{what} must be +1 or -1, got {value!r}")
+    return label
+
+
 def _check_budget(k: float) -> float:
-    k = float(k)
-    if math.isnan(k) or k < 0.0:
+    k = _as_float(k, "perturbation budget")
+    if not k >= 0.0:  # also refuses NaN
         raise ValueError(f"perturbation budget must be >= 0, got {k!r}")
     return k
+
+
+def _check_attacker(p: NormOrder, k: float) -> tuple[NormOrder, float]:
+    """The attacker an ensemble result holds for: p >= 1 or inf, budget k >= 0."""
+    p, k = check_norm_order(p), _check_budget(k)
+    if p == 0:
+        raise ValueError("ensemble attackers need p >= 1 or inf, not p = 0")
+    return p, k
 
 
 def _check_finite(x: Sequence[float]) -> None:
@@ -96,6 +145,17 @@ def _check_finite(x: Sequence[float]) -> None:
     # of the comparisons against the budget; refuse such instances instead.
     if not all(map(isfinite, x)):
         raise ValueError("instance coordinates must be finite")
+
+
+def _check_instance(x: Sequence[float], y: int) -> None:
+    _check_finite(x)
+    _as_label(y, "label")
+
+
+def _check_width(x: Sequence[float], trees: Iterable["DecisionTree"]) -> None:
+    needed = max((t.max_feature for t in trees), default=-1)
+    if needed >= len(x):
+        raise ValueError(f"instance has {len(x)} features but a tree tests feature {needed}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +167,9 @@ class AttackerModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", check_norm_order(self.p))
-        k = float(self.k)
-        if not isfinite(k) or k < 0.0:
-            raise ValueError(f"attacker budget must be finite and >= 0, got {self.k!r}")
+        k = _check_budget(self.k)
+        if k == inf:
+            raise ValueError(f"attacker budget must be finite, got {self.k!r}")
         object.__setattr__(self, "k", k)
 
 
@@ -130,7 +190,7 @@ class Interval:
     hi: float = inf
 
     def __post_init__(self) -> None:
-        lo, hi = float(self.lo), float(self.hi)
+        lo, hi = _as_float(self.lo, "interval bound"), _as_float(self.hi, "interval bound")
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError("interval bounds must not be NaN")
         object.__setattr__(self, "lo", lo)
@@ -193,10 +253,9 @@ class HyperRectangle:
     def __init__(self, entries: Iterable[tuple[int, Interval]] = ()) -> None:
         store: dict[int, Interval] = {}
         for f, iv in dict(entries).items():
-            if f < 0:
-                raise ValueError(f"feature index must be >= 0, got {f}")
+            f = _as_count(f, "feature index")
             if not iv.is_full:
-                store[int(f)] = iv
+                store[f] = iv
         self._entries = store
 
     def get(self, feature: int) -> Interval:
@@ -238,33 +297,12 @@ class HyperRectangle:
 # ---------------------------------------------------------------------------
 
 
-# The exact-type tests come first: building a large model runs these once per
-# node, and the numbers ABC checks alone are measurably slower.
-def _as_int(value, what: str) -> int:
-    if type(value) is int:
-        return value
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise TypeError(f"{what} must be an integer, got {value!r}")
-
-
-def _as_float(value, what: str) -> float:
-    if type(value) is float:
-        return value
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise TypeError(f"{what} must be a real number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Leaf:
     label: int
 
     def __post_init__(self) -> None:
-        label = _as_int(self.label, "leaf label")
-        if label not in (-1, 1):
-            raise ValueError(f"leaf label must be +1 or -1, got {self.label!r}")
-        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "label", _as_label(self.label, "leaf label"))
 
 
 @dataclass(frozen=True)
@@ -275,10 +313,8 @@ class Split:
     right: "Node"
 
     def __post_init__(self) -> None:
-        feature = _as_int(self.feature, "feature index")
+        feature = _as_count(self.feature, "feature index")
         threshold = _as_float(self.threshold, "threshold")
-        if feature < 0:
-            raise ValueError(f"feature index must be >= 0, got {self.feature!r}")
         if not isfinite(threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
         for child in (self.left, self.right):
@@ -327,11 +363,9 @@ class Ensemble:
 
     def __post_init__(self) -> None:
         trees = tuple(self.trees)
-        d = _as_int(self.dimensionality, "dimensionality")
+        d = _as_count(self.dimensionality, "dimensionality")
         if len(trees) % 2 == 0 or not trees:
             raise ValueError(f"ensemble needs an odd number of trees, got {len(trees)}")
-        if d < 0:
-            raise ValueError("dimensionality must be >= 0")
         for i, t in enumerate(trees):
             if not isinstance(t, DecisionTree):
                 raise TypeError(f"tree {i} is not a DecisionTree")
@@ -381,6 +415,7 @@ def iter_splits(tree: "DecisionTree | Node") -> Iterator[Split]:
 
 def predict_tree(tree: DecisionTree, x: Sequence[float]) -> int:
     """Label assigned to ``x`` by descending the tree (ties go left)."""
+    # _check_width inlined: predict_ensemble calls this once per tree.
     if tree.max_feature >= len(x):
         raise ValueError(
             f"instance has {len(x)} features but the tree tests feature {tree.max_feature}"
@@ -581,8 +616,7 @@ def is_large_spread(trees: "Ensemble | Sequence[DecisionTree]", p: NormOrder, k:
     L0 scalar distance only takes values in {0, 1}, making the condition
     unsatisfiable for k >= 0.5 and meaningless in general; p = 0 is rejected.
     """
-    p = check_norm_order(p)
-    k = _check_budget(k)
+    p, k = check_norm_order(p), _check_budget(k)
     gap = _gap_of(trees)
     if k == 0.0:
         return gap > 0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import CapacityError, DecisionTree, Leaf, Node, Split
+from .core import CapacityError, DecisionTree, Leaf, Node, Split, _as_count, _as_int
 
 __all__ = ["Graph", "parse_graph", "graph_to_ensemble", "clique_exists"]
 
@@ -30,12 +30,10 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        n = int(self.num_vertices)
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
+        n = _as_count(self.num_vertices, "vertex count")
         normalized = set()
         for u, v in self.edges:
-            u, v = int(u), int(v)
+            u, v = _as_int(u, "edge endpoint"), _as_int(v, "edge endpoint")
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -110,11 +108,7 @@ def clique_exists(graph: Graph, s: int) -> bool:
         raise CapacityError(
             f"clique search is exhaustive and limited to {CLIQUE_VERTEX_LIMIT} vertices"
         )
-    s = int(s)
-    if s < 0:
-        raise ValueError(f"clique size must be >= 0, got {s}")
-    if s > graph.num_vertices:
-        return False
+    s = _as_count(s, "clique size")
     return any(
         all(graph.has_edge(u, v) for u, v in itertools.combinations(combo, 2))
         for combo in itertools.combinations(range(graph.num_vertices), s)

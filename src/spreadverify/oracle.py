@@ -31,8 +31,11 @@ from .core import (
     Node,
     NormOrder,
     Split,
+    _as_count,
     _check_budget,
     _check_finite,
+    _check_instance,
+    _check_width,
     check_norm_order,
     is_large_spread,
     norm_to_power,
@@ -223,11 +226,8 @@ def exact_robust(
     ensemble mispredicts ``x`` (zero-norm witness) or some in-budget
     perturbation flips a majority of trees; ``(True, None)`` otherwise.
     """
-    p = check_norm_order(p)
-    k = _check_budget(k)
-    _check_finite(x)
-    if y not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
+    p, k = check_norm_order(p), _check_budget(k)
+    _check_instance(x, y)
     per_tree = _prepare(ensemble.trees, max_leaf_tuples)
     if predict_ensemble(ensemble, x) != y:
         return False, AttackWitness(tuple(float(v) for v in x), 0.0)
@@ -267,14 +267,8 @@ def minimal_joint_attack(
     """
     p = check_norm_order(p)
     seq = tree_sequence(trees)
-    hi_feature = max((t.max_feature for t in seq), default=-1)
-    if hi_feature >= len(x):
-        raise ValueError(
-            f"instance has {len(x)} features but the trees test feature {hi_feature}"
-        )
-    _check_finite(x)
-    if y not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
+    _check_width(x, seq)
+    _check_instance(x, y)
     per_tree = _prepare(seq, max_leaf_tuples)
     cost, rect = _search_min_attack(per_tree, y, len(seq), p, inf, x)
     if cost is None:
@@ -306,11 +300,7 @@ def split_attack(
     """
     if len(x) != len(z):
         raise ValueError("x and z must have the same dimensionality")
-    hi_feature = max(tree.max_feature, other.max_feature)
-    if hi_feature >= len(x):
-        raise ValueError(
-            f"instances have {len(x)} features but the trees test feature {hi_feature}"
-        )
+    _check_width(x, (tree, other))
     _check_finite(x)
     _check_finite(z)
     crossed: set[int] = set()
@@ -346,17 +336,12 @@ def exists_large_spread_subset(
 ) -> bool:
     """True iff some size-``s`` subset of the trees is large-spread for (p, k)."""
     seq = tree_sequence(trees)
-    p = check_norm_order(p)
-    k = _check_budget(k)
-    s = int(s)
-    if s < 0:
-        raise ValueError(f"subset size must be >= 0, got {s}")
+    p, k = check_norm_order(p), _check_budget(k)
+    s = _as_count(s, "subset size")
     if len(seq) > SUBSET_TREE_LIMIT:
         raise CapacityError(
             f"subset search is exhaustive and limited to {SUBSET_TREE_LIMIT} trees"
         )
-    if s > len(seq):
-        return False
     return any(
         is_large_spread(combo, p, k) for combo in itertools.combinations(seq, s)
     )

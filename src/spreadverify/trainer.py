@@ -40,10 +40,11 @@ from .core import (
     NormOrder,
     Node,
     Split,
+    _as_int,
+    _check_attacker,
     _feature_gap,
     _flat_splits,
     _min_cross_tree_gap,
-    check_norm_order,
     iter_splits,
     tree_sequence,
 )
@@ -109,22 +110,25 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_trees < 1 or self.num_trees % 2 == 0:
-            raise ValueError(f"num_trees must be odd and >= 1, got {self.num_trees}")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        p = check_norm_order(self.p)
-        if p == 0:
-            raise ValueError("training targets p >= 1 or inf attackers, not p = 0")
+        num_trees = _as_int(self.num_trees, "num_trees")
+        if num_trees < 1 or num_trees % 2 == 0:
+            raise ValueError(f"num_trees must be odd and >= 1, got {num_trees}")
+        p, k = _check_repair_args(self.p, self.k, self.max_iter)
         object.__setattr__(self, "p", p)
-        k = float(self.k)
-        if not math.isfinite(k) or k <= 0.0:
-            raise ValueError(f"k must be finite and > 0, got {self.k!r}")
         object.__setattr__(self, "k", k)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.partitions < 1:
-            raise ValueError("partitions must be >= 1")
+        for name in ("max_depth", "partitions"):
+            if _as_int(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
+
+def _check_repair_args(p: NormOrder, k: float, max_iter: int = 1) -> tuple[NormOrder, float]:
+    # Selection and repair need an ensemble attacker with a finite k > 0.
+    p, k = _check_attacker(p, k)
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be finite and > 0, got {k!r}")
+    if _as_int(max_iter, "max_iter") < 1:
+        raise ValueError("max_iter must be >= 1")
+    return p, k
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +230,8 @@ def train_random_forest(
 ) -> Ensemble:
     """Plain CART forest; deterministic for a fixed seed."""
     _check_trainable(dataset)
-    if max_depth < 1:
+    _as_int(num_trees, "num_trees")
+    if _as_int(max_depth, "max_depth") < 1:
         raise ValueError("max_depth must be >= 1")
     rng = random.Random(seed)
     trees = _train_forest(dataset.features, dataset.labels, num_trees, max_depth, rng)
@@ -332,17 +337,16 @@ def get_best_tree(
 
     A feature overlaps when the candidate tests it with a threshold within
     ``2k`` of some threshold already in ``current``.  Ties break to the first
-    tree in pool order.
+    tree in pool order.  As for repair, p must be >= 1 or inf and k finite
+    and > 0.
     """
     pool_seq = tree_sequence(pool)
     if not pool_seq:
         raise ValueError("pool must not be empty")
-    p = check_norm_order(p)
-    if p == 0:
-        raise ValueError("overlap selection targets p >= 1 or inf attackers")
+    k = _check_repair_args(p, k)[1]
     committed = _committed(_flat_splits(tree_sequence(current)))
     node_lists = [_pairs(t) for t in pool_seq]
-    return pool_seq[_select_best(node_lists, committed, 2.0 * float(k))]
+    return pool_seq[_select_best(node_lists, committed, 2.0 * k)]
 
 
 def _fix_in_place(
@@ -414,14 +418,7 @@ def fix_forest(
     Only thresholds move: topology, tested features and leaf labels are
     preserved.  An already large-spread ensemble is returned unchanged.
     """
-    p = check_norm_order(p)
-    if p == 0:
-        raise ValueError("threshold repair targets p >= 1 or inf attackers")
-    k = float(k)
-    if not (k > 0.0) or not math.isfinite(k):
-        raise ValueError(f"k must be finite and > 0, got {k!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    k = _check_repair_args(p, k, max_iter)[1]
     splits = _flat_splits(ensemble.trees)
     if not _fix_in_place(splits, k, max_iter, random.Random(seed)):
         return None

@@ -30,8 +30,10 @@ from .core import (
     Leaf,
     NormOrder,
     SpreadVerifyError,
+    _check_attacker,
     _check_budget,
-    _check_finite,
+    _check_instance,
+    _check_width,
     _dist_raw,
     _update_power,
     check_norm_order,
@@ -146,15 +148,9 @@ def _wrong_leaf_costs(
 def _check_tree_args(
     tree: DecisionTree, p: NormOrder, k: float, x: Sequence[float], y: int
 ) -> tuple[NormOrder, float]:
-    p = check_norm_order(p)
-    k = _check_budget(k)
-    if tree.max_feature >= len(x):
-        raise ValueError(
-            f"instance has {len(x)} features but the tree tests feature {tree.max_feature}"
-        )
-    _check_finite(x)
-    if y not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
+    p, k = check_norm_order(p), _check_budget(k)
+    _check_width(x, (tree,))
+    _check_instance(x, y)
     return p, k
 
 
@@ -183,17 +179,12 @@ def robust_tree(tree: DecisionTree, p: NormOrder, k: float, x: Sequence[float], 
 def _check_ensemble_args(
     ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
 ) -> tuple[NormOrder, float]:
-    p = check_norm_order(p)
-    k = _check_budget(k)
-    if p == 0:
-        raise ValueError("ensemble verification supports p >= 1 or inf, not p = 0")
+    p, k = _check_attacker(p, k)
     if len(x) != ensemble.dimensionality:
         raise ValueError(
             f"instance has {len(x)} features, ensemble expects {ensemble.dimensionality}"
         )
-    _check_finite(x)
-    if y not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
+    _check_instance(x, y)
     return p, k
 
 
