@@ -10,17 +10,12 @@ from .core import (
     AttackerModel,
     CapacityError,
     DecisionTree,
-    EmptyIntervalError,
     Ensemble,
-    FULL_INTERVAL,
-    HyperRectangle,
-    Interval,
     Leaf,
     Node,
     NormOrder,
     Split,
     SpreadVerifyError,
-    dist_feature,
     is_large_spread,
     iter_splits,
     norm,
@@ -46,7 +41,6 @@ from .trainer import (
     TrainConfig,
     fix_forest,
     get_best_tree,
-    train_hierarchical,
     train_large_spread,
     train_random_forest,
 )
@@ -60,7 +54,7 @@ from .verifier import (
     stable_ensemble,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AttackerModel",
@@ -68,12 +62,8 @@ __all__ = [
     "CapacityError",
     "Dataset",
     "DecisionTree",
-    "EmptyIntervalError",
     "Ensemble",
-    "FULL_INTERVAL",
     "Graph",
-    "HyperRectangle",
-    "Interval",
     "Leaf",
     "Node",
     "NormOrder",
@@ -83,7 +73,6 @@ __all__ = [
     "TrainConfig",
     "VerificationVerdict",
     "clique_exists",
-    "dist_feature",
     "exact_robust",
     "exists_large_spread_subset",
     "fix_forest",
@@ -106,7 +95,6 @@ __all__ = [
     "spread",
     "split_attack",
     "stable_ensemble",
-    "train_hierarchical",
     "train_large_spread",
     "train_random_forest",
     "tree_sequence",

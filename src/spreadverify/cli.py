@@ -1,8 +1,7 @@
 """Dataset ingestion, model serialization, metrics and the command surface.
 
 Commands: ``train`` (large-spread training to a JSON model), ``verify``
-(per-instance robustness over a CSV test set, on one thread; ``--jobs`` is
-accepted for compatibility and has no effect), ``spread`` (the ensemble's
+(per-instance robustness over a CSV test set), ``spread`` (the ensemble's
 threshold-spread value), ``oracle-check`` (randomized differential run of
 the fast verifier against the brute-force oracle, comparing verdicts and
 attack norms) and ``gadget`` (clique/spread-subset cross-check on a graph
@@ -399,19 +398,14 @@ def _cmd_train(args) -> int:
 
 
 def _verify_rows(model, p, k, dataset) -> list[InstanceVerdict]:
-    def check(item):
-        index, (x, y) = item
+    rows = []
+    for index, (x, y) in enumerate(dataset.rows()):
         verdict = robust_ensemble(model, p, k, x, y)
-        return InstanceVerdict(
-            index=index,
-            label=y,
-            predicted=verdict.predicted,
-            robust=verdict.robust,
-            stable=verdict.stable,
-            min_attack_norm=verdict.min_attack_norm,
-        )
-
-    return [check(item) for item in enumerate(dataset.rows())]
+        rows.append(InstanceVerdict(
+            index=index, label=y, predicted=verdict.predicted, robust=verdict.robust,
+            stable=verdict.stable, min_attack_norm=verdict.min_attack_norm,
+        ))
+    return rows
 
 
 def _cmd_verify(args) -> int:
@@ -582,9 +576,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--data", required=True)
     p_verify.add_argument("--p", type=_parse_norm, required=True)
     p_verify.add_argument("--k", type=float, required=True)
-    p_verify.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; runs on one thread"
-    )
     add_common(p_verify, seed=False)
     p_verify.set_defaults(func=_cmd_verify)
 

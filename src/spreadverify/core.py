@@ -1,7 +1,7 @@
 """Domain types and numeric primitives for tree-ensemble robustness checking.
 
-This module holds the immutable model types (trees, ensembles), half-open
-interval arithmetic, minimal-perturbation distances, L_p norm machinery
+This module holds the immutable model types (trees, ensembles), the
+minimal-perturbation distance into a ``(lo, hi]`` bound, L_p norm machinery
 (including the power-domain helpers shared by the fast verifier and the
 brute-force oracle so both sides compute bit-identical costs), and the
 cross-tree threshold-spread metric that makes compositional verification
@@ -13,7 +13,8 @@ and bools with TypeError (NumPy scalars pass); :func:`check_norm_order`,
 ``_check_budget`` (k >= 0), ``_check_attacker`` (p >= 1 or inf, k >= 0),
 ``_check_instance`` (finite coordinates, a label in {-1, +1}) and
 ``_check_width`` (x covers every feature the trees test) refuse
-out-of-range values with ValueError.  Nothing is coerced.
+out-of-range values with ValueError; prediction refuses non-finite
+coordinates the same way.  Nothing is coerced.
 
 All types are immutable after construction and all functions are pure, so
 everything here is safe for unrestricted concurrent use.  The one value an
@@ -25,7 +26,6 @@ changes afterwards.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass, field
 from math import fsum, inf, isfinite, nextafter
@@ -33,14 +33,10 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "SpreadVerifyError",
-    "EmptyIntervalError",
     "CapacityError",
     "NormOrder",
     "check_norm_order",
     "AttackerModel",
-    "Interval",
-    "FULL_INTERVAL",
-    "HyperRectangle",
     "Leaf",
     "Split",
     "Node",
@@ -50,7 +46,6 @@ __all__ = [
     "iter_splits",
     "predict_tree",
     "predict_ensemble",
-    "dist_feature",
     "norm",
     "update_norm",
     "oplus",
@@ -61,10 +56,6 @@ __all__ = [
 
 class SpreadVerifyError(Exception):
     """Base class for errors raised by this package."""
-
-
-class EmptyIntervalError(SpreadVerifyError):
-    """A perturbation distance was requested for an empty interval."""
 
 
 class CapacityError(SpreadVerifyError):
@@ -171,125 +162,6 @@ class AttackerModel:
         if k == inf:
             raise ValueError(f"attacker budget must be finite, got {self.k!r}")
         object.__setattr__(self, "k", k)
-
-
-# ---------------------------------------------------------------------------
-# Intervals and hyper-rectangles
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Half-open interval ``(lo, hi]`` over the extended reals.
-
-    ``lo >= hi`` is the distinguished empty interval; ``(-inf, +inf]`` is the
-    distinguished full interval (no constraint).
-    """
-
-    lo: float = -inf
-    hi: float = inf
-
-    def __post_init__(self) -> None:
-        lo, hi = _as_float(self.lo, "interval bound"), _as_float(self.hi, "interval bound")
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval bounds must not be NaN")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo >= self.hi
-
-    @property
-    def is_full(self) -> bool:
-        return self.lo == -inf and self.hi == inf
-
-    def contains(self, x: float) -> bool:
-        return self.lo < x <= self.hi
-
-    def intersect_le(self, v: float) -> "Interval":
-        """Intersection with ``(-inf, v]`` (the left branch of a split)."""
-        return Interval(self.lo, min(self.hi, v))
-
-    def intersect_gt(self, v: float) -> "Interval":
-        """Intersection with ``(v, +inf)`` (the right branch of a split)."""
-        return Interval(max(self.lo, v), self.hi)
-
-
-FULL_INTERVAL = Interval()
-
-
-def _dist_raw(x: float, lo: float, hi: float) -> float:
-    # Signed minimal perturbation pushing x into (lo, hi].  Pushing up must
-    # clear the open lower bound, so the target is the float successor of lo;
-    # pushing down lands exactly on the closed upper bound.
-    if lo < x <= hi:
-        return 0.0
-    if x <= lo:
-        return nextafter(lo, inf) - x
-    return hi - x
-
-
-def dist_feature(x_i: float, interval: Interval) -> float:
-    """Signed minimal perturbation moving ``x_i`` into ``interval``.
-
-    Returns 0 when ``x_i`` is already inside.  The result may be negative;
-    its magnitude is minimal among float values whose addition lands inside.
-    """
-    if interval.is_empty:
-        raise EmptyIntervalError("no perturbation can reach an empty interval")
-    return _dist_raw(x_i, interval.lo, interval.hi)
-
-
-class HyperRectangle:
-    """Sparse product of per-feature intervals; absent features are full.
-
-    Normalized: full intervals are never stored, so emptiness and equality
-    checks touch only the constrained features.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable[tuple[int, Interval]] = ()) -> None:
-        store: dict[int, Interval] = {}
-        for f, iv in dict(entries).items():
-            f = _as_count(f, "feature index")
-            if not iv.is_full:
-                store[f] = iv
-        self._entries = store
-
-    def get(self, feature: int) -> Interval:
-        return self._entries.get(feature, FULL_INTERVAL)
-
-    def items(self) -> tuple[tuple[int, Interval], ...]:
-        return tuple(sorted(self._entries.items()))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def is_empty(self) -> bool:
-        return any(iv.is_empty for iv in self._entries.values())
-
-    def intersect(self, feature: int, interval: Interval) -> "HyperRectangle":
-        cur = self.get(feature)
-        new = Interval(max(cur.lo, interval.lo), min(cur.hi, interval.hi))
-        out = HyperRectangle()
-        out._entries = dict(self._entries)
-        if new.is_full:
-            out._entries.pop(feature, None)
-        else:
-            out._entries[feature] = new
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HyperRectangle):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{f}: ({iv.lo}, {iv.hi}]" for f, iv in self.items())
-        return f"HyperRectangle({{{parts}}})"
 
 
 # ---------------------------------------------------------------------------
@@ -413,27 +285,34 @@ def iter_splits(tree: "DecisionTree | Node") -> Iterator[Split]:
             stack.append(cur.left)
 
 
+def _vote_sum(trees: Iterable[DecisionTree], x: Sequence[float]) -> int:
+    # The one descent loop; callers have checked x's width and finiteness.
+    votes = 0
+    for tree in trees:
+        node = tree.root
+        while isinstance(node, Split):
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        votes += node.label
+    return votes
+
+
 def predict_tree(tree: DecisionTree, x: Sequence[float]) -> int:
     """Label assigned to ``x`` by descending the tree (ties go left)."""
-    # _check_width inlined: predict_ensemble calls this once per tree.
-    if tree.max_feature >= len(x):
-        raise ValueError(
-            f"instance has {len(x)} features but the tree tests feature {tree.max_feature}"
-        )
-    node = tree.root
-    while isinstance(node, Split):
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.label
+    _check_width(x, (tree,))
+    _check_finite(x)
+    return _vote_sum((tree,), x)
 
 
 def predict_ensemble(ensemble: Ensemble, x: Sequence[float]) -> int:
     """Majority vote over the individual tree predictions."""
+    # Every tree of an Ensemble tests features below its dimensionality, so
+    # this length check covers the width of each descent.
     if len(x) != ensemble.dimensionality:
         raise ValueError(
             f"instance has {len(x)} features, ensemble expects {ensemble.dimensionality}"
         )
-    votes = sum(predict_tree(t, x) for t in ensemble.trees)
-    return 1 if votes > 0 else -1
+    _check_finite(x)
+    return 1 if _vote_sum(ensemble.trees, x) > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +375,21 @@ def _update_power(p: NormOrder, acc: float, old_comp: float, new_comp: float) ->
         return acc - (0 if old_comp == 0.0 else 1) + (0 if new_comp == 0.0 else 1)
     base = acc - power_contrib(old_comp, p) + power_contrib(new_comp, p)
     return base if base > 0.0 else 0.0
+
+
+def _dist_raw(x: float, lo: float, hi: float) -> float:
+    """Signed minimal perturbation moving ``x`` into ``(lo, hi]`` (``lo < hi``).
+
+    Returns 0 when ``x`` is already inside.  Pushing up must clear the open
+    lower bound, so it lands on the float successor of ``lo``; pushing down
+    lands exactly on the closed upper bound.  The magnitude is therefore
+    minimal among float values whose addition lands inside.
+    """
+    if lo < x <= hi:
+        return 0.0
+    if x <= lo:
+        return nextafter(lo, inf) - x
+    return hi - x
 
 
 def rect_cost_power(

@@ -25,8 +25,6 @@ from .core import (
     CapacityError,
     DecisionTree,
     Ensemble,
-    HyperRectangle,
-    Interval,
     Leaf,
     Node,
     NormOrder,
@@ -76,8 +74,8 @@ class AttackWitness:
 Box = dict[int, tuple[float, float]]  # feature -> (lo, hi]; absent is unconstrained
 
 
-def _leaf_bounds(tree: DecisionTree) -> list[tuple[int, Box]]:
-    """(label, reaching box) for every leaf, recomputed per leaf.
+def leaf_regions(tree: DecisionTree) -> list[tuple[int, Box]]:
+    """Label and reaching ``{feature: (lo, hi)}`` box for every satisfiable leaf.
 
     Each child's box is a fresh copy of its parent's with one feature
     narrowed, so every leaf keeps a box of its own; branches whose interval
@@ -106,14 +104,6 @@ def _leaf_bounds(tree: DecisionTree) -> list[tuple[int, Box]]:
             child[f] = (lo, left_hi)
             stack.append((node.left, child))
     return out
-
-
-def leaf_regions(tree: DecisionTree) -> list[tuple[int, HyperRectangle]]:
-    """Label and reaching hyper-rectangle for every (satisfiable) leaf."""
-    return [
-        (label, HyperRectangle((f, Interval(lo, hi)) for f, (lo, hi) in box.items()))
-        for label, box in _leaf_bounds(tree)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +197,7 @@ def _witness_vector(x: Sequence[float], rect: Box) -> tuple[float, ...]:
 def _prepare(
     trees: Sequence[DecisionTree], max_leaf_tuples: int
 ) -> list[list[tuple[int, Box]]]:
-    per_tree = [_leaf_bounds(t) for t in trees]
+    per_tree = [leaf_regions(t) for t in trees]
     _check_capacity(per_tree, max_leaf_tuples)
     return per_tree
 

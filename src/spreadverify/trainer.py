@@ -17,7 +17,7 @@ rebuilt from it, without recursion, once training succeeds.
 ``config.partitions`` groups, trains an independent sub-ensemble per group
 on the projected data, and merges them: trees built on disjoint features
 cannot violate the spread condition across groups.  One partition is the
-plain case; ``train_hierarchical`` is another name for the same trainer.
+plain case.
 
 All randomness flows through one seeded ``random.Random`` stream per
 training call, so identical inputs give byte-identical ensembles.
@@ -56,7 +56,6 @@ __all__ = [
     "get_best_tree",
     "fix_forest",
     "train_large_spread",
-    "train_hierarchical",
 ]
 
 
@@ -119,6 +118,7 @@ class TrainConfig:
         for name in ("max_depth", "partitions"):
             if _as_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
 
 
 def _check_repair_args(p: NormOrder, k: float, max_iter: int = 1) -> tuple[NormOrder, float]:
@@ -233,7 +233,7 @@ def train_random_forest(
     _as_int(num_trees, "num_trees")
     if _as_int(max_depth, "max_depth") < 1:
         raise ValueError("max_depth must be >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(_as_int(seed, "seed"))
     trees = _train_forest(dataset.features, dataset.labels, num_trees, max_depth, rng)
     return Ensemble(tuple(trees), dataset.dimensionality)
 
@@ -420,7 +420,7 @@ def fix_forest(
     """
     k = _check_repair_args(p, k, max_iter)[1]
     splits = _flat_splits(ensemble.trees)
-    if not _fix_in_place(splits, k, max_iter, random.Random(seed)):
+    if not _fix_in_place(splits, k, max_iter, random.Random(_as_int(seed, "seed"))):
         return None
     trees = _rebuild_trees(ensemble.trees, splits)
     return Ensemble(tuple(trees), ensemble.dimensionality)
@@ -497,6 +497,3 @@ def train_large_spread(dataset: Dataset, config: TrainConfig) -> Optional[Ensemb
         sub, splits = found
         merged.extend(_rebuild_trees(sub, [(part[f], v, t) for f, v, t in splits]))
     return Ensemble(tuple(merged), d)
-
-
-train_hierarchical = train_large_spread

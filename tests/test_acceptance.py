@@ -38,7 +38,6 @@ from spreadverify import (
     robustness_score,
     split_attack,
     spread,
-    train_hierarchical,
     train_large_spread,
     train_random_forest,
     update_norm,
@@ -344,8 +343,7 @@ def test_training_soundness_and_determinism():
             seed=rng.randrange(10_000),
         )
         data = two_blob_dataset(rng.randrange(10_000), n, d, informative=min(4, d))
-        trainer = train_hierarchical if partitions > 1 else train_large_spread
-        model = trainer(data, config)
+        model = train_large_spread(data, config)
         runs += 1
         if model is None:
             failures += 1
@@ -353,7 +351,7 @@ def test_training_soundness_and_determinism():
         successes += 1
         assert is_large_spread(model, config.p, config.k)
         assert model.num_trees == m
-        again = trainer(data, config)
+        again = train_large_spread(data, config)
         assert canonical_model_json(model) == canonical_model_json(again)
     assert runs >= 50 and successes >= 25
     _report(

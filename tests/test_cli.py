@@ -283,29 +283,6 @@ def test_verify_rejects_non_large_spread_model(tmp_path, capsys):
     assert "2.0" in err and "4.0" in err  # spread and required gap
 
 
-def test_verify_jobs_flag_gives_same_report(tmp_path, capsys):
-    data = two_blob_dataset(37, 80, 4)
-    csv_path = tmp_path / "data.csv"
-    _dump_csv(data, csv_path)
-    model_path = tmp_path / "model.json"
-    assert main(
-        ["train", "--data", str(csv_path), "--trees", "3", "--depth", "2",
-         "--p", "inf", "--k", "0.05", "--seed", "1", "--out", str(model_path)]
-    ) == 0
-    capsys.readouterr()
-    assert main(
-        ["verify", "--model", str(model_path), "--data", str(csv_path),
-         "--p", "inf", "--k", "0.05", "--json"]
-    ) == 0
-    single = json.loads(capsys.readouterr().out)
-    assert main(
-        ["verify", "--model", str(model_path), "--data", str(csv_path),
-         "--p", "inf", "--k", "0.05", "--jobs", "4", "--json"]
-    ) == 0
-    threaded = json.loads(capsys.readouterr().out)
-    assert single["instances"] == threaded["instances"]
-
-
 def test_train_failure_exit_code(tmp_path, capsys):
     rows = ["0.0,1.0,-1"] * 20 + ["1.0,1.0,1"] * 20
     csv_path = _write(tmp_path, "hard.csv", "\n".join(rows) + "\n")
@@ -371,7 +348,7 @@ def test_gadget_capacity_exit_code(tmp_path, capsys):
         assert main(["gadget", "--graph", str(graph_path), "--s", s]) == 4
 
 
-def test_train_hierarchical_from_cli(tmp_path, capsys):
+def test_train_partitions_from_cli(tmp_path, capsys):
     data = two_blob_dataset(41, 160, 6)
     csv_path = tmp_path / "data.csv"
     _dump_csv(data, csv_path)
@@ -405,6 +382,8 @@ def test_usage_error_exit_code(capsys):
     assert main(["verify", "--model", "x"]) == 1  # missing required args
     assert main(["no-such-command"]) == 1
     assert main(["bench"]) == 1  # timing lives in perfbench, not the CLI
+    assert main(["verify", "--model", "m.json", "--data", "d.csv", "--p", "inf",
+                 "--k", "0.1", "--jobs", "2"]) == 1  # verify runs on one thread
     assert main(["train", "--data", "d.csv", "--trees", "3", "--depth", "2",
                  "--p", "bogus", "--k", "1", "--out", "m.json"]) == 1
 

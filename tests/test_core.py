@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 from spreadverify import (
     DecisionTree,
-    EmptyIntervalError,
     Ensemble,
-    Interval,
     Leaf,
     Split,
-    dist_feature,
     is_large_spread,
     norm,
     oplus,
@@ -24,9 +21,33 @@ from spreadverify import (
     spread,
     update_norm,
 )
-from spreadverify.core import check_norm_order
+from spreadverify.core import _dist_raw, check_norm_order
 
 NORMS = (0, 1, 2, 3, inf)
+
+
+# ---------------------------------------------------------------------------
+# exports
+# ---------------------------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    # A name deleted from a module but left in an __all__ fails here.
+    import importlib
+    import pkgutil
+
+    import spreadverify
+
+    modules = [spreadverify] + [
+        importlib.import_module(f"spreadverify.{info.name}")
+        for info in pkgutil.iter_modules(spreadverify.__path__)
+    ]
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    namespace = {}
+    exec("from spreadverify import *", namespace)
+    assert set(spreadverify.__all__) <= set(namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +124,6 @@ def test_attacker_model_validation():
         AttackerModel(-2, 1.0)
 
 
-def test_hyper_rectangle_normalizes_and_intersects():
-    from spreadverify import FULL_INTERVAL, HyperRectangle
-
-    rect = HyperRectangle({0: Interval(1.0, 2.0), 1: FULL_INTERVAL})
-    assert len(rect) == 1  # full entries are never stored
-    assert rect.get(1).is_full
-    narrowed = rect.intersect(0, Interval(1.5, 9.0))
-    assert narrowed.get(0) == Interval(1.5, 2.0)
-    assert rect.get(0) == Interval(1.0, 2.0)  # original untouched
-    assert not narrowed.is_empty
-    assert narrowed.intersect(0, Interval(5.0, 9.0)).is_empty
-    widened = rect.intersect(0, Interval(0.0, 9.0))
-    assert widened.get(0) == Interval(1.0, 2.0)
-
-
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -171,35 +177,22 @@ def test_flipping_leaves_negates_prediction(stump_trio):
 
 
 # ---------------------------------------------------------------------------
-# intervals and minimal perturbations
+# minimal perturbations into a (lo, hi] bound
 # ---------------------------------------------------------------------------
 
 
-def test_interval_emptiness_and_intersection():
-    assert Interval(3.0, 3.0).is_empty
-    assert Interval(4.0, 3.0).is_empty
-    assert Interval().is_full
-    assert Interval(1.0, 5.0).intersect_le(3.0) == Interval(1.0, 3.0)
-    assert Interval(1.0, 5.0).intersect_gt(3.0) == Interval(3.0, 5.0)
-
-
 def test_dist_inside_is_zero():
-    assert dist_feature(11.0, Interval(10.0, inf)) == 0.0
+    assert _dist_raw(11.0, 10.0, inf) == 0.0
 
 
 def test_dist_pushes_down_onto_closed_bound():
-    assert dist_feature(11.0, Interval(-inf, 10.0)) == -1.0
+    assert _dist_raw(11.0, -inf, 10.0) == -1.0
 
 
 def test_dist_pushes_up_past_open_bound():
-    delta = dist_feature(9.0, Interval(10.0, inf))
+    delta = _dist_raw(9.0, 10.0, inf)
     assert delta == nextafter(10.0, inf) - 9.0
     assert 9.0 + delta > 10.0
-
-
-def test_dist_rejects_empty_interval():
-    with pytest.raises(EmptyIntervalError):
-        dist_feature(1.0, Interval(5.0, 2.0))
 
 
 # One binade: every grid point and its float neighbours subtract and re-add
@@ -212,21 +205,24 @@ grid_values = st.integers(256, 511).map(lambda n: n / 4.0)
 def test_dist_membership_and_minimality(x, lo, hi):
     if lo >= hi:
         return
-    iv = Interval(lo, hi)
-    delta = dist_feature(x, iv)
+
+    def inside(v):
+        return lo < v <= hi
+
+    delta = _dist_raw(x, lo, hi)
     landed = x + delta
-    assert iv.contains(landed)
+    assert inside(landed)
     assert Fraction(x) + Fraction(delta) == Fraction(landed)  # addition was exact
     if delta == 0.0:
-        assert iv.contains(x)
+        assert inside(x)
     elif delta > 0.0:
-        # lands on the smallest float inside the interval: one step less exits
+        # lands on the smallest float inside the bound: one step less exits
         assert landed == nextafter(lo, inf)
-        assert not iv.contains(nextafter(landed, -inf))
+        assert not inside(nextafter(landed, -inf))
     else:
         # lands exactly on the closed upper bound: any shorter push stays out
         assert landed == hi
-        assert not iv.contains(nextafter(landed, inf))
+        assert not inside(nextafter(landed, inf))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Each row calls one entry point with valid arguments except one.  A value of
 the wrong type (a string, a bool, a float where an integer belongs) raises
 TypeError; a value of the right type out of range (NaN, a negative value,
 p = 0 where an ensemble result needs p >= 1 or inf) raises ValueError.  A
-new entry point that takes p, k, an instance, a label or a count belongs in
-``ENTRY_POINTS``.
+new entry point that takes p, k, an instance, a label, a count or a seed
+belongs in ``ENTRY_POINTS``.
 """
 
 from math import inf, nan
@@ -19,8 +19,6 @@ from spreadverify import (
     DecisionTree,
     Ensemble,
     Graph,
-    HyperRectangle,
-    Interval,
     Leaf,
     Split,
     TrainConfig,
@@ -34,6 +32,8 @@ from spreadverify import (
     minimal_joint_attack,
     norm,
     oplus,
+    predict_ensemble,
+    predict_tree,
     reachable,
     robust_ensemble,
     robust_tree,
@@ -63,8 +63,8 @@ BAD = {
           ("nan", nan, TypeError), ("zero", 0, ValueError)],
     "count": [("string", "3", TypeError), ("bool", True, TypeError),
               ("float", 2.5, TypeError), ("nan", nan, TypeError), ("negative", -1, ValueError)],
-    "bound": [("string", "0.5", TypeError), ("bool", True, TypeError),
-              ("nan", nan, ValueError)],
+    "seed": [("string", "3", TypeError), ("bool", True, TypeError),
+             ("float", 2.5, TypeError)],
 }
 BAD["p_ensemble"] = BAD["p"] + [("zero", 0, ValueError)]
 
@@ -75,10 +75,6 @@ VALID = dict(p=inf, k=0.1, x=(0.0,), y=-1)
 # name -> (call taking keyword arguments, valid arguments, kind of each checked one)
 ENTRY_POINTS = {
     "AttackerModel": (AttackerModel, dict(p=inf, k=0.5), {"p": "p", "k": "k"}),
-    "Interval": (Interval, dict(lo=0.0, hi=1.0), {"lo": "bound", "hi": "bound"}),
-    "HyperRectangle": (
-        lambda f: HyperRectangle([(f, Interval(0.0, 1.0))]), dict(f=0), {"f": "count"}
-    ),
     "is_large_spread": (
         lambda p, k: is_large_spread([STUMP, STUMP], p, k), dict(p=inf, k=0.1),
         {"p": "p", "k": "k"},
@@ -87,6 +83,8 @@ ENTRY_POINTS = {
     "norm": (lambda p: norm((1.0, -2.0), p), dict(p=inf), {"p": "p"}),
     "update_norm": (lambda p: update_norm(p, 2.0, 1.0, 3.0), dict(p=inf), {"p": "p"}),
     "oplus": (lambda p: oplus((1.0, 2.0), p), dict(p=inf), {"p": "p"}),
+    "predict_tree": (lambda x: predict_tree(STUMP, x), dict(x=(0.0,)), {"x": "x"}),
+    "predict_ensemble": (lambda x: predict_ensemble(MODEL, x), dict(x=(0.0,)), {"x": "x"}),
     "reachable": (lambda p, k, x, y: reachable(STUMP, p, k, x, y), VALID, TREE_ARGS),
     "robust_tree": (lambda p, k, x, y: robust_tree(STUMP, p, k, x, y), VALID, TREE_ARGS),
     "stable_ensemble": (
@@ -117,21 +115,24 @@ ENTRY_POINTS = {
         dict(s=1, p=inf, k=0.1), {"s": "count", "p": "p", "k": "k"},
     ),
     "TrainConfig": (
-        TrainConfig, dict(num_trees=3, max_depth=2, p=inf, k=0.1, max_iter=5, partitions=1),
+        TrainConfig,
+        dict(num_trees=3, max_depth=2, p=inf, k=0.1, max_iter=5, partitions=1, seed=0),
         {"num_trees": "count", "max_depth": "count", "p": "p_ensemble", "k": "k",
-         "max_iter": "count", "partitions": "count"},
+         "max_iter": "count", "partitions": "count", "seed": "seed"},
     ),
     "train_random_forest": (
-        lambda num_trees, max_depth: train_random_forest(DATA, num_trees, max_depth, 0),
-        dict(num_trees=1, max_depth=2), {"num_trees": "count", "max_depth": "count"},
+        lambda num_trees, max_depth, seed: train_random_forest(DATA, num_trees, max_depth, seed),
+        dict(num_trees=1, max_depth=2, seed=0),
+        {"num_trees": "count", "max_depth": "count", "seed": "seed"},
     ),
     "get_best_tree": (
         lambda p, k: get_best_tree([STUMP], [STUMP], p, k), dict(p=inf, k=0.1),
         {"p": "p_ensemble", "k": "k"},
     ),
     "fix_forest": (
-        lambda p, k, max_iter: fix_forest(MODEL, p, k, max_iter, 0),
-        dict(p=inf, k=0.1, max_iter=5), {"p": "p_ensemble", "k": "k", "max_iter": "count"},
+        lambda p, k, max_iter, seed: fix_forest(MODEL, p, k, max_iter, seed),
+        dict(p=inf, k=0.1, max_iter=5, seed=0),
+        {"p": "p_ensemble", "k": "k", "max_iter": "count", "seed": "seed"},
     ),
     "Graph": (
         lambda n, endpoint: Graph(n, frozenset({(0, endpoint)})), dict(n=3, endpoint=1),

@@ -316,12 +316,9 @@ def test_leaf_regions_partition_behaviour(depth2_tree):
     regions = leaf_regions(depth2_tree)
     assert len(regions) == 4
     # every region is satisfiable and predicts like the tree on its interior
-    for label, rect in regions:
-        assert not rect.is_empty
+    for label, box in regions:
         probe = [0.0, 0.0]
-        for f, iv in rect.items():
-            if iv.hi == inf:
-                probe[f] = iv.lo + 1.0
-            else:
-                probe[f] = iv.hi
+        for f, (lo, hi) in box.items():
+            assert lo < hi
+            probe[f] = lo + 1.0 if hi == inf else hi
         assert predict_tree(depth2_tree, probe) == label

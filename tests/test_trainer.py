@@ -20,7 +20,6 @@ from spreadverify import (
     iter_splits,
     predict_ensemble,
     spread,
-    train_hierarchical,
     train_large_spread,
     train_random_forest,
 )
@@ -367,7 +366,7 @@ def test_trained_models_match_golden_digests(bundled_train, key):
         model = train_large_spread(bundled_train, TrainConfig(m, depth, p, k, 20, seed=seed))
     elif kind == "hierarchical":
         config = TrainConfig(m, depth, p, k, partitions=3, seed=seed)
-        model = train_hierarchical(bundled_train, config)
+        model = train_large_spread(bundled_train, config)
     else:
         forest = train_random_forest(bundled_train, m, depth, seed=seed)
         model = fix_forest(forest, p, k, max_iter=100, seed=seed)
@@ -397,7 +396,7 @@ def test_hierarchical_single_partition_matches_plain():
     data = two_blob_dataset(6, 150, 6)
     cfg = TrainConfig(num_trees=5, max_depth=3, p=inf, k=0.05, max_iter=50, seed=7)
     plain = train_large_spread(data, cfg)
-    merged = train_hierarchical(data, cfg)
+    merged = train_large_spread(data, cfg)
     assert plain is not None and merged is not None
     assert canonical_model_json(plain) == canonical_model_json(merged)
 
@@ -405,7 +404,7 @@ def test_hierarchical_single_partition_matches_plain():
 def test_hierarchical_two_partitions_merge_is_large_spread():
     data = two_blob_dataset(13, 200, 8)
     cfg = TrainConfig(num_trees=5, max_depth=3, p=inf, k=0.05, max_iter=50, partitions=2, seed=9)
-    merged = train_hierarchical(data, cfg)
+    merged = train_large_spread(data, cfg)
     plain = train_large_spread(data, cfg)  # honours partitions too
     assert merged is not None and plain is not None
     assert canonical_model_json(plain) == canonical_model_json(merged)
@@ -422,7 +421,7 @@ def test_hierarchical_two_partitions_merge_is_large_spread():
 def test_hierarchical_per_feature_partitions():
     data = two_blob_dataset(17, 200, 5, informative=5)
     cfg = TrainConfig(num_trees=5, max_depth=2, p=inf, k=0.05, max_iter=50, partitions=5, seed=3)
-    merged = train_hierarchical(data, cfg)
+    merged = train_large_spread(data, cfg)
     assert merged is not None
     assert is_large_spread(merged, inf, 0.05)
     for g, tree in enumerate(merged.trees):
@@ -432,7 +431,7 @@ def test_hierarchical_per_feature_partitions():
 def test_hierarchical_validates_partition_count():
     data = two_blob_dataset(8, 60, 3)
     with pytest.raises(ValueError):
-        train_hierarchical(
+        train_large_spread(
             data, TrainConfig(num_trees=3, max_depth=2, p=inf, k=0.1, partitions=4)
         )
 

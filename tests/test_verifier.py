@@ -109,10 +109,10 @@ def test_reachable_matches_per_leaf_recomputation_exactly():
         y = rng.choice((-1, 1))
         budget = norm_to_power(k, p)
         naive = set()
-        for label, rect in leaf_regions(tree):
+        for label, box in leaf_regions(tree):
             if label == y:
                 continue
-            cost = rect_cost_power({f: (iv.lo, iv.hi) for f, iv in rect.items()}, x, p)
+            cost = rect_cost_power(box, x, p)
             if cost <= budget:
                 naive.add(power_to_norm(cost, p))
         assert set(reachable(tree, p, k, x, y)) == naive
