@@ -7,7 +7,6 @@ fast verifier against exhaustive brute-force oracles on small instances.
 """
 
 from .core import (
-    AttackerModel,
     CapacityError,
     DecisionTree,
     Ensemble,
@@ -54,10 +53,9 @@ from .verifier import (
     stable_ensemble,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
-    "AttackerModel",
     "AttackWitness",
     "CapacityError",
     "Dataset",

@@ -21,7 +21,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -30,7 +29,6 @@ import numpy as np
 from . import gadget as gadget_mod
 from . import oracle, synth
 from .core import (
-    AttackerModel,
     CapacityError,
     DecisionTree,
     Ensemble,
@@ -56,8 +54,6 @@ __all__ = [
     "save_model",
     "load_model",
     "bundled_dataset_path",
-    "InstanceVerdict",
-    "RunReport",
     "main",
 ]
 
@@ -266,63 +262,12 @@ def load_model(path) -> Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# Run reports
+# Command helpers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InstanceVerdict:
-    index: int
-    label: int
-    predicted: int
-    robust: bool
-    stable: bool
-    min_attack_norm: Optional[float]
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Per-instance verdicts plus timings; aggregates are recomputed from rows."""
-
-    rows: tuple[InstanceVerdict, ...]
-    spread_value: float
-    timings: dict
-
-    @property
-    def accuracy(self) -> float:
-        return sum(1 for r in self.rows if r.predicted == r.label) / len(self.rows)
-
-    @property
-    def robustness(self) -> float:
-        return sum(1 for r in self.rows if r.robust) / len(self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "spread": _json_float(self.spread_value),
-            "accuracy": self.accuracy,
-            "robustness": self.robustness,
-            "timings": self.timings,
-            "instances": [
-                {
-                    "index": r.index,
-                    "label": r.label,
-                    "predicted": r.predicted,
-                    "robust": r.robust,
-                    "stable": r.stable,
-                    "min_attack_norm": r.min_attack_norm,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def _json_float(value: float):
     return "inf" if value == math.inf else value
-
-
-# ---------------------------------------------------------------------------
-# Command helpers
-# ---------------------------------------------------------------------------
 
 
 def _parse_norm(text: str) -> NormOrder:
@@ -397,19 +342,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _verify_rows(model, p, k, dataset) -> list[InstanceVerdict]:
-    rows = []
-    for index, (x, y) in enumerate(dataset.rows()):
-        verdict = robust_ensemble(model, p, k, x, y)
-        rows.append(InstanceVerdict(
-            index=index, label=y, predicted=verdict.predicted, robust=verdict.robust,
-            stable=verdict.stable, min_attack_norm=verdict.min_attack_norm,
-        ))
-    return rows
-
-
 def _cmd_verify(args) -> int:
-    attacker = AttackerModel(*_check_attacker(args.p, args.k))
+    p, k = _check_attacker(args.p, args.k)
+    if k == math.inf:
+        raise ValueError(f"attacker budget must be finite, got {args.k!r}")
     timings = {}
     start = time.perf_counter()
     model = load_model(args.model)
@@ -422,27 +358,45 @@ def _cmd_verify(args) -> int:
     timings["load"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    psi = spread(model, attacker.p)
-    if not psi > 2 * attacker.k:
-        raise NotLargeSpreadError(psi, 2 * attacker.k)
+    psi = spread(model, p)
+    if not psi > 2 * k:
+        raise NotLargeSpreadError(psi, 2 * k)
     timings["spread_check"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    rows = _verify_rows(model, attacker.p, attacker.k, dataset)
+    verdicts = [(y, robust_ensemble(model, p, k, x, y)) for x, y in dataset.rows()]
     timings["verify"] = time.perf_counter() - start
 
-    report = RunReport(tuple(rows), psi, timings)
-    per_instance = timings["verify"] / len(rows)
+    n = len(verdicts)
+    correct_share = sum(1 for y, v in verdicts if v.predicted == y) / n
+    robust_share = sum(1 for _, v in verdicts if v.robust) / n
+    per_instance = timings["verify"] / n
     _emit(
         args,
         (
-            f"instances {len(rows)}\n"
-            f"accuracy {report.accuracy:.6f}\n"
-            f"robustness {report.robustness:.6f}\n"
+            f"instances {n}\n"
+            f"accuracy {correct_share:.6f}\n"
+            f"robustness {robust_share:.6f}\n"
             f"spread {psi!r}\n"
             f"verify time {timings['verify']:.3f}s ({per_instance * 1e3:.3f} ms/instance)"
         ),
-        report.to_dict(),
+        {
+            "spread": _json_float(psi),
+            "accuracy": correct_share,
+            "robustness": robust_share,
+            "timings": timings,
+            "instances": [
+                {
+                    "index": index,
+                    "label": y,
+                    "predicted": v.predicted,
+                    "robust": v.robust,
+                    "stable": v.stable,
+                    "min_attack_norm": v.min_attack_norm,
+                }
+                for index, (y, v) in enumerate(verdicts)
+            ],
+        },
     )
     return 0
 

@@ -11,10 +11,11 @@ It also holds the one input policy that every public entry point applies:
 ``_as_int``, ``_as_float``, ``_as_count`` and ``_as_label`` refuse strings
 and bools with TypeError (NumPy scalars pass); :func:`check_norm_order`,
 ``_check_budget`` (k >= 0), ``_check_attacker`` (p >= 1 or inf, k >= 0),
-``_check_instance`` (finite coordinates, a label in {-1, +1}) and
-``_check_width`` (x covers every feature the trees test) refuse
-out-of-range values with ValueError; prediction refuses non-finite
-coordinates the same way.  Nothing is coerced.
+``_check_instance`` (finite coordinates, a label in {-1, +1}),
+``_check_width`` (x covers every feature the trees test) and
+``_check_dimensionality`` (x has an ensemble's width) refuse out-of-range
+values with ValueError; prediction refuses non-finite coordinates the same
+way.  Nothing is coerced.
 
 All types are immutable after construction and all functions are pure, so
 everything here is safe for unrestricted concurrent use.  The one value an
@@ -36,7 +37,6 @@ __all__ = [
     "CapacityError",
     "NormOrder",
     "check_norm_order",
-    "AttackerModel",
     "Leaf",
     "Split",
     "Node",
@@ -59,7 +59,7 @@ class SpreadVerifyError(Exception):
 
 
 class CapacityError(SpreadVerifyError):
-    """An exhaustive search would exceed its configured size bound."""
+    """An exhaustive search would exceed its size bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +149,13 @@ def _check_width(x: Sequence[float], trees: Iterable["DecisionTree"]) -> None:
         raise ValueError(f"instance has {len(x)} features but a tree tests feature {needed}")
 
 
-@dataclass(frozen=True)
-class AttackerModel:
-    """Threat model: all perturbations of L_p norm at most ``k``."""
-
-    p: NormOrder
-    k: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", check_norm_order(self.p))
-        k = _check_budget(self.k)
-        if k == inf:
-            raise ValueError(f"attacker budget must be finite, got {self.k!r}")
-        object.__setattr__(self, "k", k)
+def _check_dimensionality(x: Sequence[float], ensemble: "Ensemble") -> None:
+    # Every tree of an Ensemble tests features below its dimensionality, so
+    # this length check covers the width of each descent.
+    if len(x) != ensemble.dimensionality:
+        raise ValueError(
+            f"instance has {len(x)} features, ensemble expects {ensemble.dimensionality}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +224,8 @@ class Ensemble:
     trees: tuple[DecisionTree, ...]
     dimensionality: int
     # Smallest same-feature threshold gap between two distinct trees, which
-    # spread and is_large_spread read instead of rescanning every tree.
+    # spread, is_large_spread and the verifier read instead of rescanning
+    # every tree.
     _min_gap: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -305,12 +300,7 @@ def predict_tree(tree: DecisionTree, x: Sequence[float]) -> int:
 
 def predict_ensemble(ensemble: Ensemble, x: Sequence[float]) -> int:
     """Majority vote over the individual tree predictions."""
-    # Every tree of an Ensemble tests features below its dimensionality, so
-    # this length check covers the width of each descent.
-    if len(x) != ensemble.dimensionality:
-        raise ValueError(
-            f"instance has {len(x)} features, ensemble expects {ensemble.dimensionality}"
-        )
+    _check_dimensionality(x, ensemble)
     _check_finite(x)
     return 1 if _vote_sum(ensemble.trees, x) > 0 else -1
 

@@ -31,15 +31,15 @@ from .core import (
     Split,
     _as_count,
     _check_budget,
+    _check_dimensionality,
     _check_finite,
     _check_instance,
     _check_width,
+    _vote_sum,
     check_norm_order,
     is_large_spread,
     norm_to_power,
     power_to_norm,
-    predict_ensemble,
-    predict_tree,
     rect_cost_power,
     tree_sequence,
 )
@@ -109,16 +109,6 @@ def leaf_regions(tree: DecisionTree) -> list[tuple[int, Box]]:
 # ---------------------------------------------------------------------------
 # Leaf-tuple search
 # ---------------------------------------------------------------------------
-
-
-def _check_capacity(per_tree: Sequence[Sequence], limit: int) -> None:
-    total = 1
-    for leaves in per_tree:
-        total *= len(leaves)
-        if total > limit:
-            raise CapacityError(
-                f"leaf-tuple count exceeds the configured bound of {limit}"
-            )
 
 
 def _intersect(rect: Box, box: Box) -> Optional[Box]:
@@ -194,11 +184,15 @@ def _witness_vector(x: Sequence[float], rect: Box) -> tuple[float, ...]:
     return tuple(z)
 
 
-def _prepare(
-    trees: Sequence[DecisionTree], max_leaf_tuples: int
-) -> list[list[tuple[int, Box]]]:
+def _prepare(trees: Sequence[DecisionTree]) -> list[list[tuple[int, Box]]]:
     per_tree = [leaf_regions(t) for t in trees]
-    _check_capacity(per_tree, max_leaf_tuples)
+    total = 1
+    for leaves in per_tree:
+        total *= len(leaves)
+        if total > DEFAULT_TUPLE_LIMIT:
+            raise CapacityError(
+                f"leaf-tuple count exceeds the bound of {DEFAULT_TUPLE_LIMIT}"
+            )
     return per_tree
 
 
@@ -208,7 +202,6 @@ def exact_robust(
     k: float,
     x: Sequence[float],
     y: int,
-    max_leaf_tuples: int = DEFAULT_TUPLE_LIMIT,
 ) -> tuple[bool, Optional[AttackWitness]]:
     """Ground-truth robustness by enumerating every leaf tuple.
 
@@ -218,8 +211,9 @@ def exact_robust(
     """
     p, k = check_norm_order(p), _check_budget(k)
     _check_instance(x, y)
-    per_tree = _prepare(ensemble.trees, max_leaf_tuples)
-    if predict_ensemble(ensemble, x) != y:
+    _check_dimensionality(x, ensemble)
+    per_tree = _prepare(ensemble.trees)
+    if (1 if _vote_sum(ensemble.trees, x) > 0 else -1) != y:
         return False, AttackWitness(tuple(float(v) for v in x), 0.0)
     need = (len(ensemble.trees) - 1) // 2 + 1
     cost, rect = _search_min_attack(per_tree, y, need, p, norm_to_power(k, p), x)
@@ -233,14 +227,13 @@ def minimal_attack(
     p: NormOrder,
     x: Sequence[float],
     y: int,
-    max_leaf_tuples: int = DEFAULT_TUPLE_LIMIT,
 ) -> Optional[AttackWitness]:
     """Minimum-norm evasion against the ensemble, with no budget cap.
 
     Returns ``None`` when no perturbation at all can make the ensemble output
     a label different from ``y``.
     """
-    return exact_robust(ensemble, p, inf, x, y, max_leaf_tuples)[1]
+    return exact_robust(ensemble, p, inf, x, y)[1]
 
 
 def minimal_joint_attack(
@@ -248,7 +241,6 @@ def minimal_joint_attack(
     p: NormOrder,
     x: Sequence[float],
     y: int,
-    max_leaf_tuples: int = DEFAULT_TUPLE_LIMIT,
 ) -> Optional[AttackWitness]:
     """Minimum-norm perturbation making *every* given tree output a label != y.
 
@@ -259,7 +251,7 @@ def minimal_joint_attack(
     seq = tree_sequence(trees)
     _check_width(x, seq)
     _check_instance(x, y)
-    per_tree = _prepare(seq, max_leaf_tuples)
+    per_tree = _prepare(seq)
     cost, rect = _search_min_attack(per_tree, y, len(seq), p, inf, x)
     if cost is None:
         return None
@@ -305,7 +297,7 @@ def split_attack(
     # The complement part must preserve the second tree's path on z; this can
     # only fail when the spread precondition does not hold.
     residual = tuple(z[i] if i not in crossed else x[i] for i in range(len(x)))
-    if predict_tree(other, residual) != predict_tree(other, z):
+    if _vote_sum((other,), residual) != _vote_sum((other,), z):
         raise ValueError(
             "attack split failed: the tree pair is not spread widely enough "
             "for these instances"

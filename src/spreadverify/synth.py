@@ -77,24 +77,23 @@ def random_large_spread_case(
     tree_counts: Sequence[int] = (3, 5, 7),
     max_depth: int = 3,
     max_d: int = 5,
-    norms: Sequence = (1, 2, math.inf),
-    max_leaf_tuples: int = 40_000,
-    split_probs: Sequence[float] = (0.7, 0.85, 1.0),
 ) -> tuple[Ensemble, float, float]:
     """(ensemble, p, k) with the ensemble large-spread for the attacker.
 
-    The budget is drawn strictly below half the measured spread, so the
-    spread precondition holds by construction; ensembles whose brute-force
-    tuple count would be too slow to cross-check are re-drawn.
+    The norm p is drawn from {1, 2, inf} and each tree's split probability
+    from {0.7, 0.85, 1.0}.  The budget is drawn strictly below half the
+    measured spread, so the spread precondition holds by construction;
+    ensembles with more than 40,000 leaf tuples, too slow to cross-check by
+    brute force, are re-drawn.
     """
     while True:
         d = rng.randint(1, max_d)
         m = rng.choice(tuple(tree_counts))
-        split_prob = rng.choice(tuple(split_probs))
+        split_prob = rng.choice((0.7, 0.85, 1.0))
         trees = tuple(random_tree(rng, d, max_depth, split_prob) for _ in range(m))
-        if _leaf_tuple_count(trees) > max_leaf_tuples:
+        if _leaf_tuple_count(trees) > 40_000:
             continue
-        p = rng.choice(tuple(norms))
+        p = rng.choice((1, 2, math.inf))
         ensemble = Ensemble(trees, d)
         psi = spread(ensemble, p)
         if psi == 0.0:
@@ -140,24 +139,20 @@ def two_blob_dataset(
     seed: int,
     n: int,
     d: int,
-    separation: float = 6.0,
-    noise: float = 1.0,
     informative: Optional[int] = None,
 ) -> Dataset:
-    """Two Gaussian blobs, linearly separable when ``separation >> noise``.
+    """Two unit-variance Gaussian blobs whose centres are 6 apart per feature.
 
-    The first ``informative`` features carry the class offset; the rest are
-    pure noise.  Balanced labels, deterministic for a fixed seed.
+    The first ``informative`` features carry the class offset of +-3; the
+    rest are pure noise.  Balanced labels, deterministic for a fixed seed.
     """
     rng = random.Random(seed)
     informative = d if informative is None else min(informative, d)
     rows, labels = [], []
     for i in range(n):
         label = 1 if i % 2 == 0 else -1
-        center = separation / 2.0 if label == 1 else -separation / 2.0
-        row = [
-            rng.gauss(center if j < informative else 0.0, noise) for j in range(d)
-        ]
+        center = 3.0 if label == 1 else -3.0
+        row = [rng.gauss(center if j < informative else 0.0, 1.0) for j in range(d)]
         rows.append(row)
         labels.append(label)
     return Dataset(rows, labels)

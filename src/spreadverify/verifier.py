@@ -32,19 +32,17 @@ from .core import (
     SpreadVerifyError,
     _check_attacker,
     _check_budget,
+    _check_dimensionality,
     _check_instance,
     _check_width,
     _dist_raw,
     _update_power,
+    _vote_sum,
     check_norm_order,
-    is_large_spread,
     norm_to_power,
     power_to_norm,
     power_total,
-    predict_ensemble,
-    predict_tree,
     rect_cost_power,
-    spread,
 )
 
 __all__ = [
@@ -171,7 +169,7 @@ def reachable(
 def robust_tree(tree: DecisionTree, p: NormOrder, k: float, x: Sequence[float], y: int) -> bool:
     """True iff the tree predicts ``y`` on ``x`` and no wrong leaf is reachable."""
     p, k = _check_tree_args(tree, p, k, x, y)
-    if predict_tree(tree, x) != y:
+    if _vote_sum((tree,), x) != y:
         return False
     return not _wrong_leaf_costs(tree, p, k, x, y)
 
@@ -180,10 +178,7 @@ def _check_ensemble_args(
     ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
 ) -> tuple[NormOrder, float]:
     p, k = _check_attacker(p, k)
-    if len(x) != ensemble.dimensionality:
-        raise ValueError(
-            f"instance has {len(x)} features, ensemble expects {ensemble.dimensionality}"
-        )
+    _check_dimensionality(x, ensemble)
     _check_instance(x, y)
     return p, k
 
@@ -192,8 +187,9 @@ def _stability(
     ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
 ) -> tuple[bool, Optional[float]]:
     """(stable w.r.t. label y, composed attack norm when unstable)."""
-    if not is_large_spread(ensemble, p, k):
-        raise NotLargeSpreadError(spread(ensemble, p), 2.0 * k)
+    # p >= 1 here, so the spread is the stored gap (and k = 0 needs gap > 0).
+    if not ensemble._min_gap > 2.0 * k:
+        raise NotLargeSpreadError(ensemble._min_gap, 2.0 * k)
     need = (len(ensemble.trees) - 1) // 2 + 1
     minima: list[float] = []
     for tree in ensemble.trees:
@@ -231,7 +227,7 @@ def robust_ensemble(
     additionally requires that prediction to equal ``y``.
     """
     p, k = _check_ensemble_args(ensemble, p, k, x, y)
-    predicted = predict_ensemble(ensemble, x)
+    predicted = 1 if _vote_sum(ensemble.trees, x) > 0 else -1
     stable, attack_norm = _stability(ensemble, p, k, x, predicted)
     return VerificationVerdict(
         robust=(predicted == y) and stable,

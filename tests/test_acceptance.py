@@ -112,7 +112,7 @@ def test_ensemble_verifier_matches_oracle_everywhere():
     pairs = 0
     for _ in range(120):
         ensemble, p, k = random_large_spread_case(
-            rng, tree_counts=(3, 5, 7), max_depth=3, max_d=5, norms=(1, 2, inf)
+            rng, tree_counts=(3, 5, 7), max_depth=3, max_d=5
         )
         for i in range(9):
             if i % 3 == 0:
@@ -319,7 +319,7 @@ def test_clique_reduction_agrees_with_subset_search():
 
 def test_training_soundness_and_determinism():
     """>= 50 trainings over varied shapes (d <= 30, m <= 15): every
-    non-failure result satisfies the spread condition (hierarchical merges
+    non-failure result satisfies the spread condition (partitioned merges
     included), and fixed seeds reproduce models byte for byte."""
     start = time.perf_counter()
     rng = random.Random(606)

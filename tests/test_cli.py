@@ -15,8 +15,6 @@ from spreadverify import (
     train_large_spread,
 )
 from spreadverify.cli import (
-    InstanceVerdict,
-    RunReport,
     accuracy,
     bundled_dataset_path,
     canonical_model_json,
@@ -211,20 +209,6 @@ def test_random_model_round_trips_bit_for_bit():
         assert canonical_model_json(restored) == text
 
 
-def test_run_report_aggregates_recompute():
-    rows = (
-        InstanceVerdict(0, 1, 1, True, True, None),
-        InstanceVerdict(1, -1, 1, False, True, None),
-        InstanceVerdict(2, -1, -1, False, False, 0.25),
-    )
-    report = RunReport(rows, spread_value=1.0, timings={"verify": 0.1})
-    assert report.accuracy == pytest.approx(2 / 3)
-    assert report.robustness == pytest.approx(1 / 3)
-    payload = report.to_dict()
-    assert payload["accuracy"] == report.accuracy
-    assert len(payload["instances"]) == 3
-
-
 # ---------------------------------------------------------------------------
 # command surface
 # ---------------------------------------------------------------------------
@@ -261,8 +245,13 @@ def test_train_then_verify_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out)
-    assert 0.0 <= payload["robustness"] <= 1.0
-    assert 0.0 <= payload["accuracy"] <= 1.0
+    instances = payload["instances"]
+    assert len(instances) == len(data)
+    assert [r["index"] for r in instances] == list(range(len(data)))
+    # The aggregates are the shares recomputed from the per-instance rows.
+    hits = sum(1 for r in instances if r["predicted"] == r["label"])
+    assert payload["accuracy"] == hits / len(data)
+    assert payload["robustness"] == sum(1 for r in instances if r["robust"]) / len(data)
 
 
 def test_verify_rejects_non_large_spread_model(tmp_path, capsys):
@@ -384,6 +373,8 @@ def test_usage_error_exit_code(capsys):
     assert main(["bench"]) == 1  # timing lives in perfbench, not the CLI
     assert main(["verify", "--model", "m.json", "--data", "d.csv", "--p", "inf",
                  "--k", "0.1", "--jobs", "2"]) == 1  # verify runs on one thread
+    assert main(["verify", "--model", "m.json", "--data", "d.csv", "--p", "inf",
+                 "--k", "inf"]) == 1  # the attacker budget must be finite
     assert main(["train", "--data", "d.csv", "--trees", "3", "--depth", "2",
                  "--p", "bogus", "--k", "1", "--out", "m.json"]) == 1
 

@@ -111,19 +111,6 @@ def test_norm_order_validation():
             check_norm_order(bad)
 
 
-def test_attacker_model_validation():
-    from spreadverify import AttackerModel
-
-    attacker = AttackerModel(2, 0.5)
-    assert (attacker.p, attacker.k) == (2, 0.5)
-    with pytest.raises(ValueError):
-        AttackerModel(2, -1.0)
-    with pytest.raises(ValueError):
-        AttackerModel(2, inf)
-    with pytest.raises(ValueError):
-        AttackerModel(-2, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------

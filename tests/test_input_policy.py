@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from spreadverify import (
-    AttackerModel,
     Dataset,
     DecisionTree,
     Ensemble,
@@ -74,7 +73,6 @@ VALID = dict(p=inf, k=0.1, x=(0.0,), y=-1)
 
 # name -> (call taking keyword arguments, valid arguments, kind of each checked one)
 ENTRY_POINTS = {
-    "AttackerModel": (AttackerModel, dict(p=inf, k=0.5), {"p": "p", "k": "k"}),
     "is_large_spread": (
         lambda p, k: is_large_spread([STUMP, STUMP], p, k), dict(p=inf, k=0.1),
         {"p": "p", "k": "k"},

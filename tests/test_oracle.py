@@ -22,6 +22,7 @@ from spreadverify import (
     spread,
     split_attack,
 )
+from spreadverify.oracle import DEFAULT_TUPLE_LIMIT
 from spreadverify.synth import random_instance, random_tree
 
 
@@ -147,12 +148,26 @@ def test_minimal_attack_witness_is_tight():
             assert exact_robust(ensemble, p, max(below, 0.0), x, y)[0]
 
 
+def _right_chain(thresholds):
+    """Chain of splits on feature 0, each the right child of the one before,
+    with ``thresholds`` listed from the root down.  Increasing thresholds
+    make all ``len(thresholds) + 1`` leaves reachable."""
+    node = Leaf(1)
+    for i, v in enumerate(reversed(thresholds)):
+        node = Split(0, v, Leaf(-1 if i % 2 else 1), node)
+    return DecisionTree(node)
+
+
 def test_capacity_bound_is_enforced():
-    rng = random.Random(3)
-    trees = tuple(random_tree(rng, 3, 3, split_prob=1.0) for _ in range(3))
-    ensemble = Ensemble(trees, 3)
+    # 128 satisfiable leaves per tree: 128**3 = 2,097,152 leaf tuples.
+    trees = tuple(_right_chain([j + 0.25 * i for i in range(127)]) for j in range(3))
+    assert all(len(leaf_regions(t)) == 128 for t in trees)
+    assert 128**3 > DEFAULT_TUPLE_LIMIT
+    ensemble = Ensemble(trees, 1)
     with pytest.raises(CapacityError):
-        exact_robust(ensemble, 1, 1.0, (0.0, 0.0, 0.0), 1, max_leaf_tuples=10)
+        exact_robust(ensemble, 1, 1.0, (0.0,), 1)
+    with pytest.raises(CapacityError):
+        minimal_joint_attack(trees, 1, (0.0,), 1)
 
 
 def test_witness_norm_not_below_single_tree_minimum(stump_trio):
@@ -289,6 +304,11 @@ def test_joint_attack_checks_instance_width():
     tree = DecisionTree(Split(1, 0.5, Leaf(-1), Leaf(1)))
     with pytest.raises(ValueError, match="features"):
         minimal_joint_attack([tree], 2, (0.0,), 1)
+    model = Ensemble((tree,), 2)
+    with pytest.raises(ValueError, match="features"):
+        exact_robust(model, 2, 1.0, (0.0,), 1)
+    with pytest.raises(ValueError, match="features"):
+        minimal_attack(model, 2, (0.0,), 1)
     assert minimal_joint_attack([tree], 2, (0.0, 0.0), -1).norm_value == pytest.approx(0.5)
 
 
