@@ -22,7 +22,6 @@ from .core import (
     predict_ensemble,
     predict_tree,
     spread,
-    tree_sequence,
     update_norm,
 )
 from .gadget import Graph, clique_exists, graph_to_ensemble, parse_graph
@@ -50,10 +49,9 @@ from .verifier import (
     robust_ensemble,
     robust_tree,
     robustness_score,
-    stable_ensemble,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AttackWitness",
@@ -92,10 +90,8 @@ __all__ = [
     "robustness_score",
     "spread",
     "split_attack",
-    "stable_ensemble",
     "train_large_spread",
     "train_random_forest",
-    "tree_sequence",
     "update_norm",
     "__version__",
 ]

@@ -12,10 +12,11 @@ It also holds the one input policy that every public entry point applies:
 and bools with TypeError (NumPy scalars pass); :func:`check_norm_order`,
 ``_check_budget`` (k >= 0), ``_check_attacker`` (p >= 1 or inf, k >= 0),
 ``_check_instance`` (finite coordinates, a label in {-1, +1}),
-``_check_width`` (x covers every feature the trees test) and
-``_check_dimensionality`` (x has an ensemble's width) refuse out-of-range
-values with ValueError; prediction refuses non-finite coordinates the same
-way.  Nothing is coerced.
+``_check_width``, ``_check_dimensionality`` (x fits the trees),
+``_as_finite`` and ``_as_norm`` (finite and >= 0, for the norm helpers)
+refuse out-of-range values with ValueError; prediction refuses non-finite
+coordinates the same way.  Nothing is coerced.  Only the power-domain
+helpers of the verifier's inner loop take their arguments unchecked.
 
 All types are immutable after construction and all functions are pure, so
 everything here is safe for unrestricted concurrent use.  The one value an
@@ -42,7 +43,6 @@ __all__ = [
     "Node",
     "DecisionTree",
     "Ensemble",
-    "tree_sequence",
     "iter_splits",
     "predict_tree",
     "predict_ensemble",
@@ -99,6 +99,20 @@ def _as_float(value, what: str) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise TypeError(f"{what} must be a real number, got {value!r}")
+
+
+def _as_finite(value, what: str) -> float:
+    v = _as_float(value, what)
+    if not isfinite(v):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return v
+
+
+def _as_norm(value, what: str) -> float:
+    v = _as_finite(value, what)
+    if v < 0.0:
+        raise ValueError(f"{what} must be >= 0, got {value!r}")
+    return v
 
 
 def _as_count(value, what: str) -> int:
@@ -180,9 +194,7 @@ class Split:
 
     def __post_init__(self) -> None:
         feature = _as_count(self.feature, "feature index")
-        threshold = _as_float(self.threshold, "threshold")
-        if not isfinite(threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
+        threshold = _as_finite(self.threshold, "threshold")
         for child in (self.left, self.right):
             if not isinstance(child, (Leaf, Split)):
                 raise TypeError(f"child nodes must be Leaf or Split, got {child!r}")
@@ -253,7 +265,7 @@ class Ensemble:
         return sum(t.node_count for t in self.trees)
 
 
-def tree_sequence(trees: "Ensemble | Sequence[DecisionTree]") -> tuple[DecisionTree, ...]:
+def _tree_sequence(trees: "Ensemble | Sequence[DecisionTree]") -> tuple[DecisionTree, ...]:
     """Normalize an Ensemble or a plain tree sequence to a tuple of trees.
 
     Spread-style metrics are meaningful for tree collections of any size
@@ -291,6 +303,11 @@ def _vote_sum(trees: Iterable[DecisionTree], x: Sequence[float]) -> int:
     return votes
 
 
+def _majority(trees: Sequence[DecisionTree], x: Sequence[float]) -> int:
+    # The one majority-vote rule; an odd number of trees cannot tie.
+    return 1 if _vote_sum(trees, x) > 0 else -1
+
+
 def predict_tree(tree: DecisionTree, x: Sequence[float]) -> int:
     """Label assigned to ``x`` by descending the tree (ties go left)."""
     _check_width(x, (tree,))
@@ -302,7 +319,7 @@ def predict_ensemble(ensemble: Ensemble, x: Sequence[float]) -> int:
     """Majority vote over the individual tree predictions."""
     _check_dimensionality(x, ensemble)
     _check_finite(x)
-    return 1 if _vote_sum(ensemble.trees, x) > 0 else -1
+    return _majority(ensemble.trees, x)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +416,8 @@ def rect_cost_power(
 def norm(deltas: Sequence[float], p: NormOrder) -> float:
     """L_p norm of a perturbation vector (L0 counts nonzero components)."""
     p = check_norm_order(p)
-    return power_to_norm(power_total((power_contrib(d, p) for d in deltas), p), p)
+    contribs = (power_contrib(_as_finite(d, "perturbation component"), p) for d in deltas)
+    return power_to_norm(power_total(contribs, p), p)
 
 
 def update_norm(p: NormOrder, delta_norm: float, old_comp: float, new_comp: float) -> float:
@@ -410,7 +428,8 @@ def update_norm(p: NormOrder, delta_norm: float, old_comp: float, new_comp: floa
     this assumes ``|new_comp| >= |old_comp|``, which holds whenever the
     change comes from shrinking an interval constraint.
     """
-    p = check_norm_order(p)
+    p, delta_norm = check_norm_order(p), _as_norm(delta_norm, "delta_norm")
+    old_comp, new_comp = _as_finite(old_comp, "old_comp"), _as_finite(new_comp, "new_comp")
     return power_to_norm(_update_power(p, norm_to_power(delta_norm, p), old_comp, new_comp), p)
 
 
@@ -418,13 +437,10 @@ def oplus(norms: Sequence[float], p: NormOrder) -> float:
     """Norm of a sum of support-disjoint vectors, from their norms alone.
 
     L0 norms add, L_inf norms take the max, and finite p >= 1 combines as
-    ``(sum norm^p)^(1/p)``.  Entries must be finite.
+    ``(sum norm^p)^(1/p)``.  Entries must be finite and >= 0.
     """
     p = check_norm_order(p)
-    values = list(norms)
-    for v in values:
-        if v == inf:
-            raise ValueError("oplus is undefined for infinite entries")
+    values = [_as_norm(v, "oplus entry") for v in norms]
     return power_to_norm(power_total((norm_to_power(v, p) for v in values), p), p)
 
 
@@ -473,7 +489,7 @@ def _min_cross_tree_gap(splits: Iterable[tuple[int, float, int]]) -> float:
 def _gap_of(trees: "Ensemble | Sequence[DecisionTree]") -> float:
     if isinstance(trees, Ensemble):
         return trees._min_gap
-    return _min_cross_tree_gap(_flat_splits(tree_sequence(trees)))
+    return _min_cross_tree_gap(_flat_splits(_tree_sequence(trees)))
 
 
 def spread(trees: "Ensemble | Sequence[DecisionTree]", p: NormOrder) -> float:

@@ -35,13 +35,14 @@ from .core import (
     _check_finite,
     _check_instance,
     _check_width,
+    _majority,
+    _tree_sequence,
     _vote_sum,
     check_norm_order,
     is_large_spread,
     norm_to_power,
     power_to_norm,
     rect_cost_power,
-    tree_sequence,
 )
 
 __all__ = [
@@ -213,7 +214,7 @@ def exact_robust(
     _check_instance(x, y)
     _check_dimensionality(x, ensemble)
     per_tree = _prepare(ensemble.trees)
-    if (1 if _vote_sum(ensemble.trees, x) > 0 else -1) != y:
+    if _majority(ensemble.trees, x) != y:
         return False, AttackWitness(tuple(float(v) for v in x), 0.0)
     need = (len(ensemble.trees) - 1) // 2 + 1
     cost, rect = _search_min_attack(per_tree, y, need, p, norm_to_power(k, p), x)
@@ -248,7 +249,7 @@ def minimal_joint_attack(
     is what norm-composition properties over tree subsets need.
     """
     p = check_norm_order(p)
-    seq = tree_sequence(trees)
+    seq = _tree_sequence(trees)
     _check_width(x, seq)
     _check_instance(x, y)
     per_tree = _prepare(seq)
@@ -317,7 +318,7 @@ def exists_large_spread_subset(
     k: float,
 ) -> bool:
     """True iff some size-``s`` subset of the trees is large-spread for (p, k)."""
-    seq = tree_sequence(trees)
+    seq = _tree_sequence(trees)
     p, k = check_norm_order(p), _check_budget(k)
     s = _as_count(s, "subset size")
     if len(seq) > SUBSET_TREE_LIMIT:

@@ -45,8 +45,8 @@ from .core import (
     _feature_gap,
     _flat_splits,
     _min_cross_tree_gap,
+    _tree_sequence,
     iter_splits,
-    tree_sequence,
 )
 
 __all__ = [
@@ -340,11 +340,11 @@ def get_best_tree(
     tree in pool order.  As for repair, p must be >= 1 or inf and k finite
     and > 0.
     """
-    pool_seq = tree_sequence(pool)
+    pool_seq = _tree_sequence(pool)
     if not pool_seq:
         raise ValueError("pool must not be empty")
     k = _check_repair_args(p, k)[1]
-    committed = _committed(_flat_splits(tree_sequence(current)))
+    committed = _committed(_flat_splits(_tree_sequence(current)))
     node_lists = [_pairs(t) for t in pool_seq]
     return pool_seq[_select_best(node_lists, committed, 2.0 * k)]
 

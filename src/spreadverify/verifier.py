@@ -36,6 +36,7 @@ from .core import (
     _check_instance,
     _check_width,
     _dist_raw,
+    _majority,
     _update_power,
     _vote_sum,
     check_norm_order,
@@ -50,7 +51,6 @@ __all__ = [
     "VerificationVerdict",
     "reachable",
     "robust_tree",
-    "stable_ensemble",
     "robust_ensemble",
     "robustness_score",
 ]
@@ -174,15 +174,6 @@ def robust_tree(tree: DecisionTree, p: NormOrder, k: float, x: Sequence[float], 
     return not _wrong_leaf_costs(tree, p, k, x, y)
 
 
-def _check_ensemble_args(
-    ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
-) -> tuple[NormOrder, float]:
-    p, k = _check_attacker(p, k)
-    _check_dimensionality(x, ensemble)
-    _check_instance(x, y)
-    return p, k
-
-
 def _stability(
     ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
 ) -> tuple[bool, Optional[float]]:
@@ -205,19 +196,6 @@ def _stability(
     return True, None
 
 
-def stable_ensemble(
-    ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
-) -> bool:
-    """True iff no in-budget perturbation makes a majority predict != y.
-
-    Sound only for large-spread ensembles: per-tree minimal attacks then have
-    pairwise disjoint supports, so flipping any majority costs at least the
-    composition of the smallest per-tree minima.
-    """
-    p, k = _check_ensemble_args(ensemble, p, k, x, y)
-    return _stability(ensemble, p, k, x, y)[0]
-
-
 def robust_ensemble(
     ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
 ) -> VerificationVerdict:
@@ -226,8 +204,10 @@ def robust_ensemble(
     Stability is judged against the ensemble's own prediction; robustness
     additionally requires that prediction to equal ``y``.
     """
-    p, k = _check_ensemble_args(ensemble, p, k, x, y)
-    predicted = 1 if _vote_sum(ensemble.trees, x) > 0 else -1
+    p, k = _check_attacker(p, k)
+    _check_dimensionality(x, ensemble)
+    _check_instance(x, y)
+    predicted = _majority(ensemble.trees, x)
     stable, attack_norm = _stability(ensemble, p, k, x, predicted)
     return VerificationVerdict(
         robust=(predicted == y) and stable,

@@ -140,6 +140,52 @@ def test_ensemble_verifier_matches_oracle_everywhere():
     )
 
 
+def test_ensemble_verifier_matches_oracle_at_the_attack_norm():
+    """Budgets at and around each case's cheapest attack norm n.
+
+    Random budgets leave only a few percent of cases unstable, so the test
+    above rarely compares attack norms.  Here 1,500 random large-spread
+    cases, each labelled with its own prediction and every third instance on
+    or one ulp off a threshold, are verified at k = n, one ulp below n,
+    n * (1 + 1e-6) and n / 2, whenever 2k stays below the spread: zero
+    verdict disagreements, and every attack norm matches the oracle witness
+    within 1e-9."""
+    start = time.perf_counter()
+    rng = random.Random(123)
+    checks = norm_checks = 0
+    for case in range(1500):
+        ensemble, p, _ = random_large_spread_case(rng)
+        d = ensemble.dimensionality
+        if case % 3 == 0:
+            x = knife_edge_instance(rng, ensemble.trees, d)
+        else:
+            x = random_instance(rng, d)
+        y = predict_ensemble(ensemble, x)
+        cheapest = minimal_attack(ensemble, p, x, y)
+        if cheapest is None:
+            continue
+        n, psi = cheapest.norm_value, spread(ensemble, p)
+        for k in (n, nextafter(n, 0.0), n * (1 + 1e-6), n / 2):
+            if not 2.0 * k < psi:
+                continue
+            verdict = robust_ensemble(ensemble, p, k, x, y)
+            robust, witness = exact_robust(ensemble, p, k, x, y)
+            assert verdict.robust == robust, (ensemble, p, k, x, y)
+            checks += 1
+            if not robust:
+                assert verdict.min_attack_norm == pytest.approx(
+                    witness.norm_value, rel=1e-9, abs=0.0
+                ), (ensemble, p, k, x, y)
+                norm_checks += 1
+    assert norm_checks >= 200
+    _report(
+        "ensemble verifier == oracle at the attack norm",
+        time.perf_counter() - start,
+        120.0,
+        f"{checks} checks, {norm_checks} norm comparisons, 0 disagreements",
+    )
+
+
 def test_single_tree_verifier_matches_oracle():
     """>= 500 singleton cases across p in {0,1,2,inf}: verdicts agree and the
     cheapest reachable wrong leaf equals the oracle's witness norm."""

@@ -375,6 +375,7 @@ def test_usage_error_exit_code(capsys):
                  "--k", "0.1", "--jobs", "2"]) == 1  # verify runs on one thread
     assert main(["verify", "--model", "m.json", "--data", "d.csv", "--p", "inf",
                  "--k", "inf"]) == 1  # the attacker budget must be finite
+    assert main(["oracle-check", "--max-d", "5"]) == 1  # case shapes are fixed
     assert main(["train", "--data", "d.csv", "--trees", "3", "--depth", "2",
                  "--p", "bogus", "--k", "1", "--out", "m.json"]) == 1
 

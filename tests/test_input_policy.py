@@ -3,9 +3,10 @@
 Each row calls one entry point with valid arguments except one.  A value of
 the wrong type (a string, a bool, a float where an integer belongs) raises
 TypeError; a value of the right type out of range (NaN, a negative value,
-p = 0 where an ensemble result needs p >= 1 or inf) raises ValueError.  A
-new entry point that takes p, k, an instance, a label, a count or a seed
-belongs in ``ENTRY_POINTS``.
+p = 0 where an ensemble result needs p >= 1 or inf, an infinite norm or
+perturbation component) raises ValueError.  A new entry point that takes
+p, k, an instance, a label, a count, a seed, a norm or a component belongs
+in ``ENTRY_POINTS``.
 """
 
 from math import inf, nan
@@ -39,7 +40,6 @@ from spreadverify import (
     robustness_score,
     split_attack,
     spread,
-    stable_ensemble,
     train_random_forest,
     update_norm,
 )
@@ -66,6 +66,10 @@ BAD = {
              ("float", 2.5, TypeError)],
 }
 BAD["p_ensemble"] = BAD["p"] + [("zero", 0, ValueError)]
+# A perturbation component is a finite real; a norm is also >= 0.
+BAD["component"] = [("string", "1.0", TypeError), ("bool", True, TypeError),
+                    ("nan", nan, ValueError), ("inf", inf, ValueError)]
+BAD["norm"] = BAD["component"] + [("negative", -1.0, ValueError)]
 
 TREE_ARGS = {"p": "p", "k": "k", "x": "x", "y": "y"}
 ENSEMBLE_ARGS = {"p": "p_ensemble", "k": "k", "x": "x", "y": "y"}
@@ -78,16 +82,22 @@ ENTRY_POINTS = {
         {"p": "p", "k": "k"},
     ),
     "spread": (lambda p: spread([STUMP, STUMP], p), dict(p=inf), {"p": "p"}),
-    "norm": (lambda p: norm((1.0, -2.0), p), dict(p=inf), {"p": "p"}),
-    "update_norm": (lambda p: update_norm(p, 2.0, 1.0, 3.0), dict(p=inf), {"p": "p"}),
-    "oplus": (lambda p: oplus((1.0, 2.0), p), dict(p=inf), {"p": "p"}),
+    "norm": (
+        lambda p, component: norm((component, -2.0), p), dict(p=inf, component=1.0),
+        {"p": "p", "component": "component"},
+    ),
+    "update_norm": (
+        update_norm, dict(p=inf, delta_norm=2.0, old_comp=1.0, new_comp=3.0),
+        {"p": "p", "delta_norm": "norm", "old_comp": "component", "new_comp": "component"},
+    ),
+    "oplus": (
+        lambda p, entry: oplus((entry, 2.0), p), dict(p=inf, entry=1.0),
+        {"p": "p", "entry": "norm"},
+    ),
     "predict_tree": (lambda x: predict_tree(STUMP, x), dict(x=(0.0,)), {"x": "x"}),
     "predict_ensemble": (lambda x: predict_ensemble(MODEL, x), dict(x=(0.0,)), {"x": "x"}),
     "reachable": (lambda p, k, x, y: reachable(STUMP, p, k, x, y), VALID, TREE_ARGS),
     "robust_tree": (lambda p, k, x, y: robust_tree(STUMP, p, k, x, y), VALID, TREE_ARGS),
-    "stable_ensemble": (
-        lambda p, k, x, y: stable_ensemble(MODEL, p, k, x, y), VALID, ENSEMBLE_ARGS
-    ),
     "robust_ensemble": (
         lambda p, k, x, y: robust_ensemble(MODEL, p, k, x, y), VALID, ENSEMBLE_ARGS
     ),

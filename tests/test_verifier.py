@@ -18,7 +18,6 @@ from spreadverify import (
     robust_ensemble,
     robust_tree,
     robustness_score,
-    stable_ensemble,
 )
 from spreadverify.core import norm_to_power, power_to_norm, rect_cost_power
 from spreadverify.synth import (
@@ -169,7 +168,6 @@ def test_verification_of_a_5000_level_chain():
 
 
 def test_stable_when_too_few_trees_attackable(staircase_stumps):
-    assert stable_ensemble(staircase_stumps, inf, 2.0, (11.0,), 1)
     verdict = robust_ensemble(staircase_stumps, inf, 2.0, (11.0,), 1)
     assert verdict.robust and verdict.stable and verdict.predicted == 1
     assert verdict.min_attack_norm is None
@@ -178,7 +176,6 @@ def test_stable_when_too_few_trees_attackable(staircase_stumps):
 
 def test_unstable_when_joint_attack_fits_budget(two_feature_stumps):
     # two pushes just above 10 flip a majority at L1 cost 2 + 2 ulps
-    assert not stable_ensemble(two_feature_stumps, 1, 3.0, (9.0, 9.0), 1)
     verdict = robust_ensemble(two_feature_stumps, 1, 3.0, (9.0, 9.0), 1)
     assert not verdict.robust and not verdict.stable
     expected = math.fsum([nextafter(10.0, inf) - 9.0] * 2)
@@ -188,7 +185,6 @@ def test_unstable_when_joint_attack_fits_budget(two_feature_stumps):
 
 
 def test_stable_when_joint_attack_exceeds_budget(two_feature_stumps):
-    assert stable_ensemble(two_feature_stumps, 1, 1.5, (9.0, 9.0), 1)
     assert robust_ensemble(two_feature_stumps, 1, 1.5, (9.0, 9.0), 1).robust
     assert exact_robust(two_feature_stumps, 1, 1.5, (9.0, 9.0), 1)[0]
 
@@ -205,13 +201,11 @@ def test_not_large_spread_error_payload(stump_trio_ensemble):
         robust_ensemble(stump_trio_ensemble, 1, 2.0, (11.0,), 1)
     assert info.value.spread_value == 2.0
     assert info.value.required_gap == 4.0
-    with pytest.raises(NotLargeSpreadError):
-        stable_ensemble(stump_trio_ensemble, 1, 2.0, (11.0,), 1)
 
 
 def test_ensemble_rejects_p0(staircase_stumps):
     with pytest.raises(ValueError):
-        stable_ensemble(staircase_stumps, 0, 1.0, (11.0,), 1)
+        robust_ensemble(staircase_stumps, 0, 1.0, (11.0,), 1)
 
 
 def test_monotone_in_budget():
@@ -279,8 +273,6 @@ def test_non_finite_coordinates_are_rejected(two_feature_stumps, bad):
         reachable(tree, inf, 1.0, x, 1)
     with pytest.raises(ValueError, match="finite"):
         robust_tree(tree, inf, 1.0, x, 1)
-    with pytest.raises(ValueError, match="finite"):
-        stable_ensemble(two_feature_stumps, inf, 1.0, x, 1)
     with pytest.raises(ValueError, match="finite"):
         robust_ensemble(two_feature_stumps, inf, 1.0, x, 1)
 
