@@ -51,7 +51,7 @@ from .verifier import (
     robustness_score,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AttackWitness",

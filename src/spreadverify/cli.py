@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -57,7 +56,6 @@ __all__ = [
     "main",
 ]
 
-SEED_ENV_VAR = "SPREADVERIFY_SEED"
 MODEL_SCHEMA_VERSION = 1
 # Python's json module and the nested v1 format cannot hold trees deeper
 # than the interpreter's recursion limit (about 1,000 levels).
@@ -207,11 +205,12 @@ def _node_from_dict(obj) -> Node:
 
 
 def ensemble_to_dict(ensemble: Ensemble) -> dict:
-    return {
-        "version": MODEL_SCHEMA_VERSION,
-        "d": ensemble.dimensionality,
-        "trees": [_node_to_dict(t.root) for t in ensemble.trees],
-    }
+    """The v1 model object; ValueError for trees nested too deeply for it."""
+    try:
+        trees = [_node_to_dict(t.root) for t in ensemble.trees]
+    except RecursionError:
+        raise ValueError(f"model {_TOO_DEEP}") from None
+    return {"version": MODEL_SCHEMA_VERSION, "d": ensemble.dimensionality, "trees": trees}
 
 
 def ensemble_from_dict(obj: dict) -> Ensemble:
@@ -279,18 +278,6 @@ def _parse_norm(text: str) -> NormOrder:
         ) from None
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-
-
 def _emit(args, human: str, payload: dict) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -350,11 +337,6 @@ def _cmd_verify(args) -> int:
     start = time.perf_counter()
     model = load_model(args.model)
     dataset = load_csv(args.data)
-    if dataset.dimensionality != model.dimensionality:
-        raise ValueError(
-            f"data has {dataset.dimensionality} features, model expects "
-            f"{model.dimensionality}"
-        )
     timings["load"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -495,18 +477,16 @@ def _build_parser() -> _Parser:
     def add_common(p_cmd, *, seed=True):
         p_cmd.add_argument("--json", action="store_true", help="machine-readable output")
         if seed:
-            p_cmd.add_argument(
-                "--seed",
-                type=int,
-                default=_default_seed(),
-                help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
-            )
+            p_cmd.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p_train = sub.add_parser("train", help="train a large-spread ensemble")
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--trees", type=int, required=True)
     p_train.add_argument("--depth", type=int, required=True)
-    p_train.add_argument("--p", type=_parse_norm, required=True)
+    p_train.add_argument(
+        "--p", type=_parse_norm, required=True,
+        help="norm order, >= 1 or inf; the model depends on --k alone",
+    )
     p_train.add_argument("--k", type=float, required=True)
     p_train.add_argument("--max-iter", type=int, default=100)
     p_train.add_argument("--partitions", type=int, default=1)
@@ -548,22 +528,14 @@ def _build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exit_request:
         code = exit_request.code
         return code if isinstance(code, int) else 1
-    except argparse.ArgumentTypeError as err:  # e.g. malformed seed env var
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except NotLargeSpreadError as err:
-        print(
-            f"error: not large-spread: spread {err.spread_value!r} "
-            f"<= 2k = {err.required_gap!r}",
-            file=sys.stderr,
-        )
+        print(f"error: {err}", file=sys.stderr)
         return 3
     except CapacityError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -308,6 +308,11 @@ def _majority(trees: Sequence[DecisionTree], x: Sequence[float]) -> int:
     return 1 if _vote_sum(trees, x) > 0 else -1
 
 
+def _majority_size(trees: Sequence[DecisionTree]) -> int:
+    # Wrong votes needed to flip _majority's answer.
+    return len(trees) // 2 + 1
+
+
 def predict_tree(tree: DecisionTree, x: Sequence[float]) -> int:
     """Label assigned to ``x`` by descending the tree (ties go left)."""
     _check_width(x, (tree,))

@@ -36,6 +36,7 @@ from .core import (
     _check_instance,
     _check_width,
     _majority,
+    _majority_size,
     _tree_sequence,
     _vote_sum,
     check_norm_order,
@@ -139,22 +140,27 @@ def _search_min_attack(
     goes before any intersection), and branches whose partial cost already
     exceeds the budget or the best candidate so far (sound: intersecting
     further leaves only shrinks the box, so the cost is non-decreasing).
-    The first tuple attaining the minimum (in tree-major, leaf-minor order)
-    wins ties, so the result is deterministic.
+    An explicit stack keeps any number of trees off the call stack; each
+    tree's leaves are pushed in reverse, so tuples come out in tree-major,
+    leaf-minor order, and the best-so-far test runs when an entry is popped.
+    The first tuple attaining the minimum in that order wins ties, so the
+    result is deterministic.
     """
     m = len(per_tree)
     best_cost: Optional[float] = None
     best_rect: Optional[Box] = None
-
-    def rec(i: int, rect: Box, wrong: int) -> None:
-        nonlocal best_cost, best_rect
+    # Entries: (trees fixed so far, box, wrong votes, the box's cost).
+    stack = [(0, {}, 0, rect_cost_power({}, x, p))]
+    while stack:
+        i, rect, wrong, cost = stack.pop()
+        if best_cost is not None and cost > best_cost:
+            continue
         if i == m:
-            cost = rect_cost_power(rect, x, p)
-            if cost <= budget_pow and (best_cost is None or cost < best_cost):
+            if best_cost is None or cost < best_cost:
                 best_cost, best_rect = cost, rect
-            return
+            continue
         later = m - i - 1
-        for label, box in per_tree[i]:
+        for label, box in reversed(per_tree[i]):
             votes = wrong + (label != y)
             if votes + later < need_wrong:
                 continue
@@ -162,13 +168,8 @@ def _search_min_attack(
             if child is None:
                 continue
             partial = rect_cost_power(child, x, p)
-            if partial > budget_pow:
-                continue
-            if best_cost is not None and partial > best_cost:
-                continue
-            rec(i + 1, child, votes)
-
-    rec(0, {}, 0)
+            if partial <= budget_pow:
+                stack.append((i + 1, child, votes, partial))
     return best_cost, best_rect
 
 
@@ -216,7 +217,7 @@ def exact_robust(
     per_tree = _prepare(ensemble.trees)
     if _majority(ensemble.trees, x) != y:
         return False, AttackWitness(tuple(float(v) for v in x), 0.0)
-    need = (len(ensemble.trees) - 1) // 2 + 1
+    need = _majority_size(ensemble.trees)
     cost, rect = _search_min_attack(per_tree, y, need, p, norm_to_power(k, p), x)
     if cost is None:
         return True, None

@@ -98,7 +98,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyper-parameters for large-spread training."""
+    """Hyper-parameters for large-spread training.
+
+    ``p`` is checked (>= 1 or inf) but never read: the spread condition
+    compares same-feature thresholds, so it is the same for every such p,
+    and so is the trained model.  Training depends on ``k`` alone.
+    """
 
     num_trees: int
     max_depth: int
@@ -338,7 +343,7 @@ def get_best_tree(
     A feature overlaps when the candidate tests it with a threshold within
     ``2k`` of some threshold already in ``current``.  Ties break to the first
     tree in pool order.  As for repair, p must be >= 1 or inf and k finite
-    and > 0.
+    and > 0; p is checked but not read, so the pick depends on k alone.
     """
     pool_seq = _tree_sequence(pool)
     if not pool_seq:
@@ -417,6 +422,7 @@ def fix_forest(
 
     Only thresholds move: topology, tested features and leaf labels are
     preserved.  An already large-spread ensemble is returned unchanged.
+    p (>= 1 or inf) is checked but not read: the result depends on k alone.
     """
     k = _check_repair_args(p, k, max_iter)[1]
     splits = _flat_splits(ensemble.trees)

@@ -37,6 +37,7 @@ from .core import (
     _check_width,
     _dist_raw,
     _majority,
+    _majority_size,
     _update_power,
     _vote_sum,
     check_norm_order,
@@ -181,7 +182,7 @@ def _stability(
     # p >= 1 here, so the spread is the stored gap (and k = 0 needs gap > 0).
     if not ensemble._min_gap > 2.0 * k:
         raise NotLargeSpreadError(ensemble._min_gap, 2.0 * k)
-    need = (len(ensemble.trees) - 1) // 2 + 1
+    need = _majority_size(ensemble.trees)
     minima: list[float] = []
     for tree in ensemble.trees:
         costs = _wrong_leaf_costs(tree, p, k, x, y)

@@ -272,6 +272,19 @@ def test_verify_rejects_non_large_spread_model(tmp_path, capsys):
     assert "2.0" in err and "4.0" in err  # spread and required gap
 
 
+def test_verify_rejects_data_of_the_wrong_width(tmp_path, capsys):
+    model_path = tmp_path / "wide.json"
+    save_model(Ensemble((DecisionTree(Split(29, 0.5, Leaf(-1), Leaf(1))),), 30), model_path)
+    data_path = _write(tmp_path, "narrow.csv", ",".join(["0.0"] * 29 + ["1"]) + "\n")
+    code = main(
+        ["verify", "--model", str(model_path), "--data", str(data_path),
+         "--p", "inf", "--k", "0.1"]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "29" in err and "30" in err
+
+
 def test_train_failure_exit_code(tmp_path, capsys):
     rows = ["0.0,1.0,-1"] * 20 + ["1.0,1.0,1"] * 20
     csv_path = _write(tmp_path, "hard.csv", "\n".join(rows) + "\n")
@@ -357,16 +370,6 @@ def test_train_partitions_from_cli(tmp_path, capsys):
     assert is_large_spread(model, inf, 0.05)
 
 
-def test_seed_env_var_is_default(capsys, monkeypatch):
-    monkeypatch.setenv("SPREADVERIFY_SEED", "777")
-    assert main(["oracle-check", "--cases", "10", "--json"]) == 0
-    from_env = capsys.readouterr().out
-    monkeypatch.delenv("SPREADVERIFY_SEED")
-    assert main(["oracle-check", "--cases", "10", "--seed", "777", "--json"]) == 0
-    explicit = capsys.readouterr().out
-    assert from_env == explicit
-
-
 def test_usage_error_exit_code(capsys):
     assert main(["verify", "--model", "x"]) == 1  # missing required args
     assert main(["no-such-command"]) == 1
@@ -422,6 +425,8 @@ def test_saving_a_tree_too_deep_for_the_format_raises(tmp_path):
     for level in reversed(range(1500)):
         chain = Split(0, float(level), Leaf(-1), chain)
     ensemble = Ensemble((DecisionTree(chain),), 1)
+    with pytest.raises(ValueError, match="too deeply"):
+        ensemble_to_dict(ensemble)
     with pytest.raises(ValueError, match="too deeply"):
         canonical_model_json(ensemble)
     with pytest.raises(ValueError, match="too deeply"):

@@ -122,6 +122,15 @@ def test_minimal_attack_constant_ensemble():
     assert minimal_attack(ensemble, 2, (0.0, 0.0), 1) is None
 
 
+def test_leaf_tuple_search_takes_any_number_of_trees():
+    # One leaf tuple, but a search 2,001 trees deep: deeper than the
+    # interpreter's recursion limit.
+    trees = tuple(DecisionTree(Leaf(1)) for _ in range(2001))
+    assert exact_robust(Ensemble(trees, 1), 2, 1.0, (0.0,), 1) == (True, None)
+    witness = minimal_joint_attack(trees, 2, (0.0,), -1)
+    assert witness.z == (0.0,) and witness.norm_value == 0.0
+
+
 def test_minimal_attack_two_feature_stumps(two_feature_stumps):
     witness = minimal_attack(two_feature_stumps, 1, (9.0, 9.0), 1)
     step = nextafter(10.0, inf) - 9.0

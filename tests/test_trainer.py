@@ -387,6 +387,19 @@ def test_golden_discard_config_discards_candidates(bundled_train, monkeypatch):
     assert len(results) == 27 and results.count(False) == 3
 
 
+def test_training_depends_on_k_alone(bundled_train):
+    # The spread condition compares same-feature thresholds, so it reads
+    # the same for every p >= 1, and so does every model built for it.
+    forest = train_random_forest(bundled_train, 5, 3, seed=0)
+    outputs = set()
+    for p in (1, 2, inf):
+        model = train_large_spread(bundled_train, TrainConfig(5, 3, p, 0.01, seed=0))
+        repaired = fix_forest(forest, p, 0.01, max_iter=100, seed=0)
+        pick = get_best_tree(forest.trees[1:], forest.trees[:1], p, 0.01)
+        outputs.add((canonical_model_json(model), canonical_model_json(repaired), pick))
+    assert len(outputs) == 1
+
+
 # ---------------------------------------------------------------------------
 # partitioned training
 # ---------------------------------------------------------------------------
