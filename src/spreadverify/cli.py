@@ -35,6 +35,8 @@ from .core import (
     Node,
     NormOrder,
     Split,
+    _as_float,
+    _as_int,
     _check_attacker,
     check_norm_order,
     predict_ensemble,
@@ -130,8 +132,10 @@ def stratified_split(
 
     Deterministic for a fixed seed; the parts are disjoint and exhaustive.
     """
+    train_fraction = _as_float(train_fraction, "train_fraction")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    seed = _as_int(seed, "seed")
     by_class = {
         label: [i for i in range(len(dataset)) if dataset.labels[i] == label]
         for label in (-1, 1)

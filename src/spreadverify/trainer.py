@@ -1,17 +1,19 @@
 """Random-forest training and large-spread enforcement.
 
 A from-scratch CART forest (gini impurity, bootstrap resampling, per-split
-feature subsampling, midpoint thresholds) provides the candidate pool.  The
-large-spread trainer then grows an ensemble greedily: it always picks the
-pool tree with the fewest feature overlaps against the current selection and
-repairs remaining overlaps by pushing conflicting threshold pairs apart, one
-random offset per conflict, until the spread condition holds or the sweep
-budget runs out.  Each sweep visits only the features that still have a
-conflict, which makes the same draws as a sweep over every pair.  Trees
-whose repair fails are discarded, so every returned ensemble is large-spread
-by construction.  Selection and repair work on one flat list of
-``(feature, threshold, tree index)`` splits, and the selected trees are
-rebuilt from it, without recursion, once training succeeds.
+feature subsampling, midpoint thresholds) provides the candidate pool.  Each
+node searches its candidate features in one batch: one sort of all their
+columns and one gini evaluation of every cut.  The large-spread trainer then
+grows an ensemble greedily: it always picks the pool tree with the fewest
+feature overlaps against the current selection and repairs remaining
+overlaps by pushing conflicting threshold pairs apart, one random offset per
+conflict, until the spread condition holds or the sweep budget runs out.
+Each sweep visits only the features that still have a conflict, which makes
+the same draws as a sweep over every pair.  Trees whose repair fails are
+discarded, so every returned ensemble is large-spread by construction.
+Selection and repair work on one flat list of ``(feature, threshold, tree
+index)`` splits, and the selected trees are rebuilt from it, without
+recursion, once training succeeds.
 
 ``train_large_spread`` also partitions the features round-robin into
 ``config.partitions`` groups, trains an independent sub-ensemble per group
@@ -114,9 +116,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        num_trees = _as_int(self.num_trees, "num_trees")
-        if num_trees < 1 or num_trees % 2 == 0:
-            raise ValueError(f"num_trees must be odd and >= 1, got {num_trees}")
+        _check_tree_count(self.num_trees)
         p, k = _check_repair_args(self.p, self.k, self.max_iter)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
@@ -124,6 +124,13 @@ class TrainConfig:
             if _as_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
+
+
+def _check_tree_count(num_trees: int) -> None:
+    # An ensemble needs an odd number of trees; refuse any other before growing one.
+    num_trees = _as_int(num_trees, "num_trees")
+    if num_trees < 1 or num_trees % 2 == 0:
+        raise ValueError(f"num_trees must be odd and >= 1, got {num_trees}")
 
 
 def _check_repair_args(p: NormOrder, k: float, max_iter: int = 1) -> tuple[NormOrder, float]:
@@ -148,36 +155,36 @@ def _best_split(
 
     Thresholds are midpoints between consecutive distinct sorted values.
     Ties keep the first candidate feature and the smallest threshold.
+
+    All candidates are searched at once: their columns are sorted row by
+    row, and every position between two sorted values is scored, the
+    non-cuts (equal neighbours) as +inf.  The first minimum in row-major
+    order is then the first candidate and, within it, the smallest
+    threshold.  The sort need not be stable.  Tie order leaves the sorted
+    values unchanged, and the positive count at a cut is the number of rows
+    with a value at most the cut's, whatever their order.  -0.0 and 0.0
+    compare equal, so they never form a cut, and a midpoint is the same
+    with either zero.
     """
     n = len(y)
-    best_score = math.inf
-    best: Optional[tuple[int, float]] = None
-    for f in candidates:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        pos = np.cumsum(y[order] == 1)
-        cut = np.nonzero(v[:-1] < v[1:])[0]  # split after index i
-        if cut.size == 0:
-            continue
-        left_n = cut + 1
-        right_n = n - left_n
-        left_pos = pos[cut]
-        right_pos = pos[-1] - left_pos
-        gini_left = 1.0 - (left_pos / left_n) ** 2 - ((left_n - left_pos) / left_n) ** 2
-        gini_right = (
-            1.0 - (right_pos / right_n) ** 2 - ((right_n - right_pos) / right_n) ** 2
-        )
-        weighted = (left_n * gini_left + right_n * gini_right) / n
-        j = int(np.argmin(weighted))
-        if weighted[j] < best_score:
-            i = int(cut[j])
-            threshold = float((v[i] + v[i + 1]) / 2.0)
-            if threshold >= v[i + 1]:  # midpoint rounded up between adjacent floats
-                threshold = float(v[i])
-            best_score = float(weighted[j])
-            best = (int(f), threshold)
-    return best
+    values = X[:, candidates].T
+    order = np.argsort(values, axis=1)
+    v = np.take_along_axis(values, order, axis=1)
+    pos = np.cumsum(y[order] == 1, axis=1)
+    left_n = np.arange(1, n)
+    # Left and right sides stacked: sizes is 2 x 1 x (n-1), counts 2 x c x (n-1).
+    sizes = np.stack([left_n, n - left_n])[:, None, :]
+    counts = np.stack([pos[:, :-1], pos[:, -1:] - pos[:, :-1]])
+    gini = 1.0 - (counts / sizes) ** 2 - ((sizes - counts) / sizes) ** 2
+    weighted = (sizes[0] * gini[0] + sizes[1] * gini[1]) / n
+    weighted[v[:, :-1] >= v[:, 1:]] = math.inf
+    c, i = divmod(int(np.argmin(weighted)), n - 1)
+    if weighted[c, i] == math.inf:
+        return None
+    threshold = float((v[c, i] + v[c, i + 1]) / 2.0)
+    if threshold >= v[c, i + 1]:  # midpoint rounded up between adjacent floats
+        threshold = float(v[c, i])
+    return int(candidates[c]), threshold
 
 
 def _grow_tree(
@@ -235,7 +242,7 @@ def train_random_forest(
 ) -> Ensemble:
     """Plain CART forest; deterministic for a fixed seed."""
     _check_trainable(dataset)
-    _as_int(num_trees, "num_trees")
+    _check_tree_count(num_trees)
     if _as_int(max_depth, "max_depth") < 1:
         raise ValueError("max_depth must be >= 1")
     rng = random.Random(_as_int(seed, "seed"))
@@ -397,18 +404,19 @@ def _fix_in_place(
         for i in sorted(i for f in todo for i in by_feature[f]):
             tree = owners[i]
             peers = by_feature[features[i]]
+            v = thresholds[i]  # only this loop moves it
             for j in peers[bisect_right(peers, i):]:
-                if owners[j] == tree:
-                    continue
-                v, w = thresholds[i], thresholds[j]
-                if abs(v - w) <= gap:
+                w = thresholds[j]
+                # abs(v - w) <= gap, without the call
+                if -gap <= v - w <= gap and owners[j] != tree:
                     offset = k + k * (1.0 - rng.random())  # uniform in (k, 2k]
                     if v <= w:
-                        thresholds[i] = v - offset
+                        v -= offset
                         thresholds[j] = w + offset
                     else:
-                        thresholds[i] = v + offset
+                        v += offset
                         thresholds[j] = w - offset
+                    thresholds[i] = v
         todo = conflicted(todo)  # no other feature moved
     splits[:] = [(f, v, t) for f, v, t in zip(features, thresholds, owners)]
     # Fewer sweeps than allowed means the last one left no conflict.

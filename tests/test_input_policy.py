@@ -43,6 +43,7 @@ from spreadverify import (
     train_random_forest,
     update_norm,
 )
+from spreadverify.cli import stratified_split
 
 STUMP = DecisionTree(Split(0, 0.5, Leaf(-1), Leaf(1)))
 FAR = DecisionTree(Split(0, 5.0, Leaf(-1), Leaf(1)))
@@ -63,7 +64,7 @@ BAD = {
     "count": [("string", "3", TypeError), ("bool", True, TypeError),
               ("float", 2.5, TypeError), ("nan", nan, TypeError), ("negative", -1, ValueError)],
     "seed": [("string", "3", TypeError), ("bool", True, TypeError),
-             ("float", 2.5, TypeError)],
+             ("float", 2.5, TypeError), ("none", None, TypeError)],
 }
 BAD["p_ensemble"] = BAD["p"] + [("zero", 0, ValueError)]
 # A perturbation component is a finite real; a norm is also >= 0.
@@ -141,6 +142,10 @@ ENTRY_POINTS = {
         lambda p, k, max_iter, seed: fix_forest(MODEL, p, k, max_iter, seed),
         dict(p=inf, k=0.1, max_iter=5, seed=0),
         {"p": "p_ensemble", "k": "k", "max_iter": "count", "seed": "seed"},
+    ),
+    "stratified_split": (
+        lambda train_fraction, seed: stratified_split(DATA, train_fraction, seed),
+        dict(train_fraction=0.5, seed=0), {"train_fraction": "k", "seed": "seed"},
     ),
     "Graph": (
         lambda n, endpoint: Graph(n, frozenset({(0, endpoint)})), dict(n=3, endpoint=1),

@@ -116,10 +116,81 @@ def test_forest_rejects_degenerate_data():
         train_random_forest(Dataset(np.zeros((3, 2)), np.array([1, 1, 1])), 1, 1, 0)
 
 
-def test_even_tree_count_is_a_structural_error():
+def test_even_tree_count_is_a_structural_error(monkeypatch):
+    # The count is refused before any tree is grown.
+    def grow(*args):
+        raise AssertionError("a tree was grown")
+
+    monkeypatch.setattr(trainer, "_train_forest", grow)
     data = two_blob_dataset(4, 60, 4)
-    with pytest.raises(ValueError):
-        train_random_forest(data, 2, 2, seed=1)
+    for num_trees in (0, 2, 200):
+        with pytest.raises(ValueError, match="num_trees must be odd and >= 1"):
+            train_random_forest(data, num_trees, 2, seed=1)
+
+
+def _per_candidate_split(X, y, candidates):
+    """Reference split search: one stable sort and one gini sweep per candidate."""
+    n = len(y)
+    best_score = math.inf
+    best = None
+    for f in candidates:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        pos = np.cumsum(y[order] == 1)
+        cut = np.nonzero(v[:-1] < v[1:])[0]  # split after index i
+        if cut.size == 0:
+            continue
+        left_n = cut + 1
+        right_n = n - left_n
+        left_pos = pos[cut]
+        right_pos = pos[-1] - left_pos
+        gini_left = 1.0 - (left_pos / left_n) ** 2 - ((left_n - left_pos) / left_n) ** 2
+        gini_right = (
+            1.0 - (right_pos / right_n) ** 2 - ((right_n - right_pos) / right_n) ** 2
+        )
+        weighted = (left_n * gini_left + right_n * gini_right) / n
+        j = int(np.argmin(weighted))
+        if weighted[j] < best_score:
+            i = int(cut[j])
+            threshold = float((v[i] + v[i + 1]) / 2.0)
+            if threshold >= v[i + 1]:  # midpoint rounded up between adjacent floats
+                threshold = float(v[i])
+            best_score = float(weighted[j])
+            best = (int(f), threshold)
+    return best
+
+
+def _exact(found):
+    # repr tells -0.0 from 0.0, which == does not
+    return None if found is None else (found[0], repr(found[1]))
+
+
+def test_batched_split_search_matches_a_per_candidate_search():
+    # A coarse grid makes ties common and zeros come with either sign.  The
+    # two floats just above 1.0 are adjacent, and their midpoint rounds up.
+    above = np.nextafter(1.0, 2.0)
+    grid = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, float(above), float(np.nextafter(above, 2.0))]
+    cases = np.random.default_rng(2024)
+    found = {True: 0, False: 0}
+    for _ in range(2000):
+        n = int(cases.integers(2, 61))
+        d = int(cases.integers(1, 9))
+        X = cases.choice(grid, size=(n, d))
+        for f in range(d):
+            kind = cases.integers(4)
+            if kind == 0:  # constant column
+                X[:, f] = X[0, f]
+            elif kind == 1:  # fine grid: few ties
+                X[:, f] = cases.integers(0, 1000, size=n) / 64.0
+        y = cases.choice([-1, 1], size=n)
+        candidates = [int(f) for f in cases.permutation(d)[: cases.integers(1, min(d, 6) + 1)]]
+        expected = _exact(_per_candidate_split(X, y, candidates))
+        assert _exact(trainer._best_split(X, y, candidates)) == expected
+        rows = cases.permutation(n)
+        assert _exact(trainer._best_split(X[rows], y[rows], candidates)) == expected
+        found[expected is not None] += 1
+    assert min(found.values()) >= 100
 
 
 # ---------------------------------------------------------------------------
