@@ -81,15 +81,18 @@ def load_csv(path) -> Dataset:
         raise ValueError(f"{path}: empty file")
 
     def parse_row(row: list[str], index: int) -> list[float]:
-        values = []
-        for col, cell in enumerate(row):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {index}, column {col}: cannot parse {cell.strip()!r}"
-                ) from None
-        return values
+        try:
+            return list(map(float, row))
+        except ValueError:
+            # Cell by cell only to name the first cell that fails.
+            for col, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {index}, column {col}: cannot parse {cell.strip()!r}"
+                    ) from None
+            raise
 
     start = 0
     try:

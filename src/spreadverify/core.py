@@ -19,10 +19,13 @@ coordinates the same way.  Nothing is coerced.  Only the power-domain
 helpers of the verifier's inner loop take their arguments unchecked.
 
 All types are immutable after construction and all functions are pure, so
-everything here is safe for unrestricted concurrent use.  The one value an
-:class:`Ensemble` stores beyond its trees, the minimum cross-tree threshold
-gap behind :func:`spread`, is computed once in its constructor and never
-changes afterwards.
+everything here is safe for unrestricted concurrent use.  An
+:class:`Ensemble` stores two things beyond its trees, both computed once in
+its constructor from one per-feature sort of its thresholds and never
+changed afterwards: the minimum cross-tree threshold gap behind
+:func:`spread`, and a per-feature index of sorted thresholds with the tree
+owning each, which the verifier bisects to find the trees within reach of
+an instance.
 """
 
 from __future__ import annotations
@@ -239,6 +242,11 @@ class Ensemble:
     # spread, is_large_spread and the verifier read instead of rescanning
     # every tree.
     _min_gap: float = field(init=False, compare=False, repr=False)
+    # Per tested feature, (feature, sorted thresholds, owning tree of each):
+    # the verifier bisects it for the trees with a threshold near x.
+    _index: tuple[tuple[int, tuple[float, ...], tuple[int, ...]], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         trees = tuple(self.trees)
@@ -254,7 +262,12 @@ class Ensemble:
                 )
         object.__setattr__(self, "trees", trees)
         object.__setattr__(self, "dimensionality", d)
-        object.__setattr__(self, "_min_gap", _min_cross_tree_gap(_flat_splits(trees)))
+        by_feature = _by_feature(_flat_splits(trees))
+        # _feature_gap sorts each feature's pairs in place; the index keeps them.
+        gap = min(map(_feature_gap, by_feature.values()), default=inf)
+        index = tuple((f, *zip(*pairs)) for f, pairs in by_feature.items())
+        object.__setattr__(self, "_min_gap", gap)
+        object.__setattr__(self, "_index", index)
 
     @property
     def num_trees(self) -> int:
@@ -292,20 +305,25 @@ def iter_splits(tree: "DecisionTree | Node") -> Iterator[Split]:
             stack.append(cur.left)
 
 
-def _vote_sum(trees: Iterable[DecisionTree], x: Sequence[float]) -> int:
+def _tree_labels(trees: Iterable[DecisionTree], x: Sequence[float]) -> list[int]:
     # The one descent loop; callers have checked x's width and finiteness.
-    votes = 0
+    labels = []
     for tree in trees:
         node = tree.root
         while isinstance(node, Split):
             node = node.left if x[node.feature] <= node.threshold else node.right
-        votes += node.label
-    return votes
+        labels.append(node.label)
+    return labels
 
 
-def _majority(trees: Sequence[DecisionTree], x: Sequence[float]) -> int:
-    # The one majority-vote rule; an odd number of trees cannot tie.
-    return 1 if _vote_sum(trees, x) > 0 else -1
+def _vote_sum(trees: Iterable[DecisionTree], x: Sequence[float]) -> int:
+    return sum(_tree_labels(trees, x))
+
+
+def _majority(labels: Sequence[int]) -> int:
+    # The one majority-vote rule over per-tree labels; an odd number of
+    # trees cannot tie.
+    return 1 if sum(labels) > 0 else -1
 
 
 def _majority_size(trees: Sequence[DecisionTree]) -> int:
@@ -324,7 +342,7 @@ def predict_ensemble(ensemble: Ensemble, x: Sequence[float]) -> int:
     """Majority vote over the individual tree predictions."""
     _check_dimensionality(x, ensemble)
     _check_finite(x)
-    return _majority(ensemble.trees, x)
+    return _majority(_tree_labels(ensemble.trees, x))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +481,14 @@ def _flat_splits(trees: Sequence[DecisionTree]) -> list[tuple[int, float, int]]:
     ]
 
 
+def _by_feature(splits: Iterable[tuple[int, float, int]]) -> dict[int, list[tuple[float, int]]]:
+    """Each feature's ``(threshold, tree index)`` pairs, in ``splits`` order."""
+    by_feature: dict[int, list[tuple[float, int]]] = {}
+    for feature, threshold, tree in splits:
+        by_feature.setdefault(feature, []).append((threshold, tree))
+    return by_feature
+
+
 def _feature_gap(entries: list[tuple[float, int]]) -> float:
     """Smallest gap between the thresholds of distinct trees on one feature.
 
@@ -485,10 +511,7 @@ def _min_cross_tree_gap(splits: Iterable[tuple[int, float, int]]) -> float:
     ``splits`` holds ``(feature, threshold, tree index)`` triples; the result
     is +inf when no feature is tested by two distinct trees.
     """
-    by_feature: dict[int, list[tuple[float, int]]] = {}
-    for feature, threshold, tree in splits:
-        by_feature.setdefault(feature, []).append((threshold, tree))
-    return min(map(_feature_gap, by_feature.values()), default=inf)
+    return min(map(_feature_gap, _by_feature(splits).values()), default=inf)
 
 
 def _gap_of(trees: "Ensemble | Sequence[DecisionTree]") -> float:

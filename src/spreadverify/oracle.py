@@ -37,6 +37,7 @@ from .core import (
     _check_width,
     _majority,
     _majority_size,
+    _tree_labels,
     _tree_sequence,
     _vote_sum,
     check_norm_order,
@@ -215,7 +216,7 @@ def exact_robust(
     _check_instance(x, y)
     _check_dimensionality(x, ensemble)
     per_tree = _prepare(ensemble.trees)
-    if _majority(ensemble.trees, x) != y:
+    if _majority(_tree_labels(ensemble.trees, x)) != y:
         return False, AttackWitness(tuple(float(v) for v in x), 0.0)
     need = _majority_size(ensemble.trees)
     cost, rect = _search_min_attack(per_tree, y, need, p, norm_to_power(k, p), x)

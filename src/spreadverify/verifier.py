@@ -7,7 +7,13 @@ backtrack.  The traversal runs on an explicit stack, so any tree depth fits.
 Ensembles whose cross-tree threshold spread strictly exceeds twice the
 attack budget are verified compositionally: per-tree minimal attack costs
 combine through the support-disjoint norm composition, so the whole check
-runs in O(N + m log m).
+runs in O(N + m log m) at worst.  Per instance it descends each tree once
+for the votes, bisects each feature's sorted thresholds (the ensemble's
+index) for the trees with a threshold within k of x, and traverses only
+those that vote for the prediction: a tree voting against it costs 0, and
+any other tree cannot change its vote within budget.  Under large spread
+a feature's window holds the thresholds of at most one tree, unless the
+spread is within the window's relative slack of 2k.
 
 The ensemble verdict is sound only under the spread precondition, so it is
 always checked (a comparison against the threshold gap each ensemble stores
@@ -20,6 +26,7 @@ instances may be verified concurrently over a shared model.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
 from typing import Optional, Sequence
@@ -38,6 +45,7 @@ from .core import (
     _dist_raw,
     _majority,
     _majority_size,
+    _tree_labels,
     _update_power,
     _vote_sum,
     check_norm_order,
@@ -175,17 +183,43 @@ def robust_tree(tree: DecisionTree, p: NormOrder, k: float, x: Sequence[float], 
     return not _wrong_leaf_costs(tree, p, k, x, y)
 
 
+def _live_trees(ensemble: Ensemble, x: Sequence[float], w: float) -> set[int]:
+    """Trees with a threshold in ``[x[f] - w, x[f] + w]`` on some feature f."""
+    live: set[int] = set()
+    for f, thresholds, owners in ensemble._index:
+        xf = x[f]
+        i = bisect_left(thresholds, xf - w)
+        j = bisect_right(thresholds, xf + w, i)
+        if i < j:  # most windows are empty
+            live.update(owners[i:j])
+    return live
+
+
 def _stability(
-    ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], y: int
+    ensemble: Ensemble, p: NormOrder, k: float, x: Sequence[float], labels: Sequence[int], y: int
 ) -> tuple[bool, Optional[float]]:
-    """(stable w.r.t. label y, composed attack norm when unstable)."""
+    """(stable w.r.t. label y, composed attack norm when unstable).
+
+    ``labels`` holds each tree's vote on ``x``.  A tree voting wrong already
+    costs 0: its own leaf's box holds ``x``.  A tree voting ``y`` changes its
+    vote only if ``x + delta`` crosses one of its splits, and with p >= 1
+    every in-budget delta has ``|delta_f| <= k``, so only a tree with a
+    threshold within ``k`` of ``x`` on some feature (a live tree) can; the
+    others need no traversal.
+    """
     # p >= 1 here, so the spread is the stored gap (and k = 0 needs gap > 0).
     if not ensemble._min_gap > 2.0 * k:
         raise NotLargeSpreadError(ensemble._min_gap, 2.0 * k)
     need = _majority_size(ensemble.trees)
-    minima: list[float] = []
-    for tree in ensemble.trees:
-        costs = _wrong_leaf_costs(tree, p, k, x, y)
+    minima = [0.0] * (len(labels) - labels.count(y))
+    # The slack keeps rounding, of x[f] -+ k and of the costs the traversal
+    # compares with the budget, from dropping a tree the traversal would
+    # reach; a wider window only adds traversals that find nothing.
+    live = [i for i in _live_trees(ensemble, x, k * _PRUNE_SLACK) if labels[i] == y]
+    if len(minima) + len(live) < need:
+        return True, None
+    for i in live:
+        costs = _wrong_leaf_costs(ensemble.trees[i], p, k, x, y)
         if costs:
             minima.append(min(costs))
     if len(minima) < need:
@@ -208,8 +242,9 @@ def robust_ensemble(
     p, k = _check_attacker(p, k)
     _check_dimensionality(x, ensemble)
     _check_instance(x, y)
-    predicted = _majority(ensemble.trees, x)
-    stable, attack_norm = _stability(ensemble, p, k, x, predicted)
+    labels = _tree_labels(ensemble.trees, x)
+    predicted = _majority(labels)
+    stable, attack_norm = _stability(ensemble, p, k, x, labels, predicted)
     return VerificationVerdict(
         robust=(predicted == y) and stable,
         stable=stable,

@@ -69,6 +69,8 @@ def test_load_csv_empty_file(tmp_path):
 def test_load_csv_malformed_cell_reports_position(tmp_path):
     with pytest.raises(ValueError, match=r"row 1, column 1"):
         load_csv(_write(tmp_path, "m.csv", "1.0,2.0,1\n3.0,oops,0\n"))
+    with pytest.raises(ValueError, match=r"row 1, column 0: cannot parse 'x'$"):
+        load_csv(_write(tmp_path, "n.csv", "1.0,2.0,1\n x ,oops,0\n"))
 
 
 def test_load_csv_bad_label_value(tmp_path):

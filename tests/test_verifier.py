@@ -4,6 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 from math import inf, nextafter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadverify import (
     DecisionTree,
@@ -12,19 +14,35 @@ from spreadverify import (
     NotLargeSpreadError,
     Split,
     exact_robust,
+    iter_splits,
     leaf_regions,
+    predict_ensemble,
     predict_tree,
     reachable,
     robust_ensemble,
     robust_tree,
     robustness_score,
+    verifier,
 )
-from spreadverify.core import norm_to_power, power_to_norm, rect_cost_power
+from spreadverify.core import (
+    _majority_size,
+    norm_to_power,
+    power_to_norm,
+    power_total,
+    rect_cost_power,
+)
 from spreadverify.synth import (
     knife_edge_instance,
     random_instance,
     random_large_spread_case,
     random_tree,
+    scaling_ensemble,
+)
+from spreadverify.verifier import (
+    _PRUNE_SLACK,
+    VerificationVerdict,
+    _live_trees,
+    _wrong_leaf_costs,
 )
 
 EPS_ABOVE_12 = nextafter(12.0, inf) - 11.0
@@ -217,6 +235,164 @@ def test_monotone_in_budget():
         if robust_ensemble(ensemble, p, k, x, y).robust:
             smaller = k * rng.uniform(0.1, 0.9)
             assert robust_ensemble(ensemble, p, smaller, x, y).robust
+
+
+def _all_trees_verdict(ensemble, p, k, x, y):
+    """Reference: robust_ensemble with one traversal of every tree."""
+    predicted = predict_ensemble(ensemble, x)
+    need = _majority_size(ensemble.trees)
+    minima = []
+    for tree in ensemble.trees:
+        costs = _wrong_leaf_costs(tree, p, k, x, predicted)
+        if costs:
+            minima.append(min(costs))
+    stable, attack_norm = True, None
+    if len(minima) >= need:
+        minima.sort()
+        composed = power_total(minima[:need], p)
+        if composed <= norm_to_power(k, p):
+            stable, attack_norm = False, power_to_norm(composed, p)
+    return VerificationVerdict(
+        robust=(predicted == y) and stable,
+        stable=stable,
+        predicted=predicted,
+        min_attack_norm=attack_norm,
+    )
+
+
+def _knife_edges(v, k):
+    return (
+        v - k,
+        v + k,
+        nextafter(v - k, -inf),
+        nextafter(v + k, inf),
+        v,
+        nextafter(v, inf),
+    )
+
+
+def test_live_trees_match_the_all_trees_loop():
+    """Skipping trees with no threshold within k of x, and traversing no
+    wrong-voting tree, leaves every verdict and attack norm bit for bit."""
+    rng = random.Random(2319)
+    unstable = 0
+    for _ in range(120):
+        ensemble, _, drawn_k = random_large_spread_case(rng)
+        splits = [s for t in ensemble.trees for s in iter_splits(t)]
+        x = random_instance(rng, ensemble.dimensionality)
+        y = rng.choice((-1, 1))
+        for p in (1, 2, 3, inf):
+            for k in (drawn_k, drawn_k / 2.0, 0.0):
+                instances = [x]
+                if splits:
+                    split = rng.choice(splits)
+                    for value in _knife_edges(split.threshold, k):
+                        edge = list(x)
+                        edge[split.feature] = value
+                        instances.append(tuple(edge))
+                for z in instances:
+                    fast = robust_ensemble(ensemble, p, k, z, y)
+                    # repr tells -0.0 from 0.0 and shows every bit of a float
+                    assert repr(fast) == repr(_all_trees_verdict(ensemble, p, k, z, y))
+                    unstable += not fast.stable
+    assert unstable >= 200
+    # Thresholds below k: x[0] - k rounds above v, yet x[0] one ulp beyond
+    # v + k still crosses v within budget.  Tree 1 votes wrong, so tree 0's
+    # flip decides the verdict.
+    for p, v, k in ((inf, 1.7107598954195002, 4.965747709393726),
+                    (2, 1.703890751840842, 4.369547171026106)):
+        ensemble = Ensemble(
+            (
+                DecisionTree(Split(0, v, Leaf(-1), Leaf(1))),
+                DecisionTree(Split(1, 50.0, Leaf(1), Leaf(-1))),
+                DecisionTree(Split(1, 150.0, Leaf(1), Leaf(-1))),
+            ),
+            2,
+        )
+        x = (nextafter(v + k, inf), 100.0)
+        assert x[0] - k > v
+        fast = robust_ensemble(ensemble, p, k, x, 1)
+        assert not fast.stable
+        assert repr(fast) == repr(_all_trees_verdict(ensemble, p, k, x, 1))
+
+
+def test_traversals_run_only_on_live_right_voting_trees(monkeypatch):
+    rng = random.Random(31)
+    k = 1.0
+    ensemble = scaling_ensemble(rng, 101, 6, 30, k)
+    splits = [s for t in ensemble.trees for s in iter_splits(t)]
+    features = len({s.feature for s in splits})
+    # Per feature, points more than 1.5 k away from each of its thresholds.
+    far_points = []
+    for f in range(ensemble.dimensionality):
+        values = sorted(s.threshold for s in splits if s.feature == f) or [0.0]
+        points = [values[0] - 2.0 * k, values[-1] + 2.0 * k]
+        points += [(a + b) / 2.0 for a, b in zip(values, values[1:]) if b - a > 3.0 * k]
+        far_points.append(points)
+    low = min(s.threshold for s in splits) - 10.0
+    high = max(s.threshold for s in splits) + 10.0
+    traversed = []
+
+    def counting(tree, *args):
+        traversed.append(tree)
+        return _wrong_leaf_costs(tree, *args)
+
+    monkeypatch.setattr(verifier, "_wrong_leaf_costs", counting)
+    total = 0
+    for trial in range(90):
+        x = [rng.uniform(low, high) for _ in range(ensemble.dimensionality)]
+        if trial % 3 == 0:
+            split = rng.choice(splits)
+            x[split.feature] = rng.choice(_knife_edges(split.threshold, k))
+        for p in (2, inf):
+            traversed.clear()
+            verdict = robust_ensemble(ensemble, p, k, x, 1)
+            assert len(traversed) <= features
+            assert verdict == _all_trees_verdict(ensemble, p, k, x, 1)
+            total += len(traversed)
+        traversed.clear()
+        robust_ensemble(ensemble, inf, k, [rng.choice(points) for points in far_points], 1)
+        assert traversed == []
+    assert total > 0
+
+
+# Thresholds, instances and budgets on a quarter grid in one binade: x -+ w
+# then rounds by far less than the window's slack, so a grid threshold lies
+# in a window exactly when it is within k of x.
+quarter_grid = st.integers(256, 511).map(lambda n: n / 4.0)
+chain_splits = st.lists(st.tuples(st.integers(0, 3), quarter_grid), min_size=1, max_size=4)
+
+
+@settings(max_examples=300)
+@given(
+    chains=st.lists(chain_splits, min_size=1, max_size=5),
+    x=st.tuples(*[quarter_grid] * 4),
+    k=st.integers(0, 12).map(lambda n: n / 4.0),
+)
+def test_large_spread_leaves_at_most_one_live_tree_per_feature(chains, x, k):
+    if len(chains) % 2 == 0:
+        chains = chains[:-1]
+    trees = []
+    for i, chain in enumerate(chains):
+        node = Leaf(1 if i % 2 else -1)
+        for f, v in chain:
+            node = Split(f, v, Leaf(-1 if i % 2 else 1), node)
+        trees.append(DecisionTree(node))
+    ensemble = Ensemble(tuple(trees), 4)
+    w = k * _PRUNE_SLACK
+    if not ensemble._min_gap > 2.0 * w:
+        return
+    live = set()
+    for f in range(4):
+        near = {
+            i
+            for i, tree in enumerate(ensemble.trees)
+            for s in iter_splits(tree)
+            if s.feature == f and abs(s.threshold - x[f]) <= k
+        }
+        assert len(near) <= 1
+        live |= near
+    assert _live_trees(ensemble, x, w) == live
 
 
 def test_robustness_score_counts(two_feature_stumps):
