@@ -140,8 +140,7 @@ def stratified_split(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     seed = _as_int(seed, "seed")
     by_class = {
-        label: [i for i in range(len(dataset)) if dataset.labels[i] == label]
-        for label in (-1, 1)
+        label: np.flatnonzero(dataset.labels == label).tolist() for label in (-1, 1)
     }
     for label, indices in by_class.items():
         if not indices:
@@ -294,10 +293,11 @@ def _emit(args, human: str, payload: dict) -> None:
 
 def _cmd_train(args) -> int:
     dataset = load_csv(args.data)
+    # Training and the spread depend on k alone: any p >= 1 gives the same.
     config = TrainConfig(
         num_trees=args.trees,
         max_depth=args.depth,
-        p=args.p,
+        p=math.inf,
         k=args.k,
         max_iter=args.max_iter,
         partitions=args.partitions,
@@ -315,7 +315,7 @@ def _cmd_train(args) -> int:
         return 2
     save_model(model, args.out)
     train_acc = accuracy(model, dataset)
-    psi = spread(model, args.p)
+    psi = spread(model, math.inf)
     _emit(
         args,
         (
@@ -471,14 +471,11 @@ def _cmd_gadget(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit 1 on usage errors
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="spreadverify", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    # Exact option names only: a prefix such as --part would otherwise parse.
+    parser = argparse.ArgumentParser(
+        prog="spreadverify", description=__doc__, allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p_cmd, *, seed=True):
@@ -486,14 +483,12 @@ def _build_parser() -> _Parser:
         if seed:
             p_cmd.add_argument("--seed", type=int, default=0, help="RNG seed")
 
-    p_train = sub.add_parser("train", help="train a large-spread ensemble")
+    p_train = sub.add_parser(
+        "train", help="train a large-spread ensemble", allow_abbrev=False
+    )
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--trees", type=int, required=True)
     p_train.add_argument("--depth", type=int, required=True)
-    p_train.add_argument(
-        "--p", type=_parse_norm, required=True,
-        help="norm order, >= 1 or inf; the model depends on --k alone",
-    )
     p_train.add_argument("--k", type=float, required=True)
     p_train.add_argument("--max-iter", type=int, default=100)
     p_train.add_argument("--partitions", type=int, default=1)
@@ -501,7 +496,9 @@ def _build_parser() -> _Parser:
     add_common(p_train)
     p_train.set_defaults(func=_cmd_train)
 
-    p_verify = sub.add_parser("verify", help="verify robustness over a test set")
+    p_verify = sub.add_parser(
+        "verify", help="verify robustness over a test set", allow_abbrev=False
+    )
     p_verify.add_argument("--model", required=True)
     p_verify.add_argument("--data", required=True)
     p_verify.add_argument("--p", type=_parse_norm, required=True)
@@ -509,21 +506,27 @@ def _build_parser() -> _Parser:
     add_common(p_verify, seed=False)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_spread = sub.add_parser("spread", help="report the threshold spread")
+    p_spread = sub.add_parser(
+        "spread", help="report the threshold spread", allow_abbrev=False
+    )
     p_spread.add_argument("--model", required=True)
     p_spread.add_argument("--p", type=_parse_norm, required=True)
     add_common(p_spread, seed=False)
     p_spread.set_defaults(func=_cmd_spread)
 
     p_oracle = sub.add_parser(
-        "oracle-check", help="differential run: fast verifier vs brute force"
+        "oracle-check",
+        help="differential run: fast verifier vs brute force",
+        allow_abbrev=False,
     )
     p_oracle.add_argument("--cases", type=int, default=1000)
     add_common(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle_check)
 
     p_gadget = sub.add_parser(
-        "gadget", help="clique vs large-spread-subset cross-check on a graph"
+        "gadget",
+        help="clique vs large-spread-subset cross-check on a graph",
+        allow_abbrev=False,
     )
     p_gadget.add_argument("--graph", required=True)
     p_gadget.add_argument("--s", type=int, required=True)
@@ -537,8 +540,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exit_request:
-        code = exit_request.code
-        return code if isinstance(code, int) else 1
+        # argparse exits 2 on a usage error and 0 after --help.
+        return 1 if exit_request.code else 0
     try:
         return args.func(args)
     except NotLargeSpreadError as err:

@@ -316,10 +316,6 @@ def _tree_labels(trees: Iterable[DecisionTree], x: Sequence[float]) -> list[int]
     return labels
 
 
-def _vote_sum(trees: Iterable[DecisionTree], x: Sequence[float]) -> int:
-    return sum(_tree_labels(trees, x))
-
-
 def _majority(labels: Sequence[int]) -> int:
     # The one majority-vote rule over per-tree labels; an odd number of
     # trees cannot tie.
@@ -335,7 +331,7 @@ def predict_tree(tree: DecisionTree, x: Sequence[float]) -> int:
     """Label assigned to ``x`` by descending the tree (ties go left)."""
     _check_width(x, (tree,))
     _check_finite(x)
-    return _vote_sum((tree,), x)
+    return _tree_labels((tree,), x)[0]
 
 
 def predict_ensemble(ensemble: Ensemble, x: Sequence[float]) -> int:
@@ -358,12 +354,10 @@ def predict_ensemble(ensemble: Ensemble, x: Sequence[float]) -> int:
 
 def power_contrib(delta: float, p: NormOrder) -> float:
     """Per-component contribution of ``delta`` in the power domain."""
-    if p == inf:
+    if p == inf or p == 1:
         return abs(delta)
     if p == 0:
         return 0 if delta == 0.0 else 1
-    if p == 1:
-        return abs(delta)
     return abs(delta) ** p
 
 
@@ -401,8 +395,6 @@ def _update_power(p: NormOrder, acc: float, old_comp: float, new_comp: float) ->
     if p == inf:
         new = abs(new_comp)
         return acc if acc >= new else new
-    if p == 0:
-        return acc - (0 if old_comp == 0.0 else 1) + (0 if new_comp == 0.0 else 1)
     base = acc - power_contrib(old_comp, p) + power_contrib(new_comp, p)
     return base if base > 0.0 else 0.0
 
@@ -546,8 +538,6 @@ def is_large_spread(trees: "Ensemble | Sequence[DecisionTree]", p: NormOrder, k:
     """
     p, k = check_norm_order(p), _check_budget(k)
     gap = _gap_of(trees)
-    if k == 0.0:
-        return gap > 0.0
-    if p == 0:
+    if p == 0 and k > 0.0:
         raise ValueError("large-spread verification is not defined for p=0 with k > 0")
     return gap > 2.0 * k

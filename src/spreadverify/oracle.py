@@ -39,7 +39,6 @@ from .core import (
     _majority_size,
     _tree_labels,
     _tree_sequence,
-    _vote_sum,
     check_norm_order,
     is_large_spread,
     norm_to_power,
@@ -300,7 +299,7 @@ def split_attack(
     # The complement part must preserve the second tree's path on z; this can
     # only fail when the spread precondition does not hold.
     residual = tuple(z[i] if i not in crossed else x[i] for i in range(len(x)))
-    if _vote_sum((other,), residual) != _vote_sum((other,), z):
+    if _tree_labels((other,), residual) != _tree_labels((other,), z):
         raise ValueError(
             "attack split failed: the tree pair is not spread widely enough "
             "for these instances"

@@ -47,7 +47,6 @@ from .core import (
     _majority_size,
     _tree_labels,
     _update_power,
-    _vote_sum,
     check_norm_order,
     norm_to_power,
     power_to_norm,
@@ -115,8 +114,7 @@ def _wrong_leaf_costs(
     box: dict[int, tuple[float, float]] = {}
     undo: list[tuple[int, Optional[tuple[float, float]]]] = []
     out: list[float] = []
-    zero = 0 if p == 0 else 0.0
-    stack = [(tree.root, zero, 0, None, None)]
+    stack = [(tree.root, 0.0, 0, None, None)]
     while stack:
         node, acc, depth, f, bounds = stack.pop()
         while len(undo) > depth:
@@ -178,7 +176,7 @@ def reachable(
 def robust_tree(tree: DecisionTree, p: NormOrder, k: float, x: Sequence[float], y: int) -> bool:
     """True iff the tree predicts ``y`` on ``x`` and no wrong leaf is reachable."""
     p, k = _check_tree_args(tree, p, k, x, y)
-    if _vote_sum((tree,), x) != y:
+    if _tree_labels((tree,), x)[0] != y:
         return False
     return not _wrong_leaf_costs(tree, p, k, x, y)
 

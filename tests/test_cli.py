@@ -90,6 +90,21 @@ def test_bundled_dataset_loads():
     assert float(ds.features.min()) == 0.0 and float(ds.features.max()) == 1.0
 
 
+def test_load_csv_needs_a_feature_column(tmp_path):
+    with pytest.raises(ValueError, match="at least one feature and a label"):
+        load_csv(_write(tmp_path, "one.csv", "1\n0\n"))
+
+
+def test_rows_match_a_cell_by_cell_conversion():
+    ds = load_csv(bundled_dataset_path())
+    cell_by_cell = [
+        (tuple(float(v) for v in ds.features[i]), int(ds.labels[i]))
+        for i in range(len(ds))
+    ]
+    # repr tells -0.0 from 0.0 and an int from a NumPy scalar.
+    assert repr(list(ds.rows())) == repr(cell_by_cell)
+
+
 # ---------------------------------------------------------------------------
 # stratified split / accuracy
 # ---------------------------------------------------------------------------
@@ -231,7 +246,7 @@ def test_train_then_verify_round_trip(tmp_path, capsys):
     code = main(
         [
             "train", "--data", str(csv_path), "--trees", "3", "--depth", "3",
-            "--p", "inf", "--k", "0.05", "--max-iter", "50", "--seed", "3",
+            "--k", "0.05", "--max-iter", "50", "--seed", "3",
             "--out", str(model_path),
         ]
     )
@@ -292,7 +307,7 @@ def test_train_failure_exit_code(tmp_path, capsys):
     csv_path = _write(tmp_path, "hard.csv", "\n".join(rows) + "\n")
     code = main(
         ["train", "--data", str(csv_path), "--trees", "5", "--depth", "2",
-         "--p", "inf", "--k", "100.0", "--max-iter", "1", "--seed", "0",
+         "--k", "100.0", "--max-iter", "1", "--seed", "0",
          "--out", str(tmp_path / "never.json")]
     )
     assert code == 2
@@ -359,7 +374,7 @@ def test_train_partitions_from_cli(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     code = main(
         ["train", "--data", str(csv_path), "--trees", "5", "--depth", "2",
-         "--p", "inf", "--k", "0.05", "--partitions", "2", "--seed", "3",
+         "--k", "0.05", "--partitions", "2", "--seed", "3",
          "--out", str(model_path), "--json"]
     )
     assert code == 0
@@ -383,6 +398,17 @@ def test_usage_error_exit_code(capsys):
     assert main(["oracle-check", "--max-d", "5"]) == 1  # case shapes are fixed
     assert main(["train", "--data", "d.csv", "--trees", "3", "--depth", "2",
                  "--p", "bogus", "--k", "1", "--out", "m.json"]) == 1
+    assert main(["--help"]) == 0  # help is not a usage error
+
+
+@pytest.mark.parametrize("option", [["--p", "inf"], ["--p", "2"], ["--part", "2"]])
+def test_train_refuses_a_norm_and_abbreviated_options(capsys, option):
+    # The trained model depends on --k alone, and only exact option names parse.
+    assert main(["train", "--data", "d.csv", "--trees", "3", "--depth", "2",
+                 "--k", "1", *option, "--out", "m.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spreadverify")
+    assert f"spreadverify: error: unrecognized arguments: {' '.join(option)}" in err
 
 
 def test_missing_file_is_reported(capsys, tmp_path):
@@ -420,6 +446,13 @@ def test_malformed_model_file_is_reported(capsys, tmp_path, body):
     model_path = _write(tmp_path, "model.json", body)
     assert main(["spread", "--model", str(model_path), "--p", "1"]) == 1
     assert "error: malformed model" in capsys.readouterr().err
+
+
+def test_node_that_is_not_an_object_is_reported(capsys, tmp_path):
+    body = '{"version": 1, "d": 1, "trees": [[0, 0.5]]}'
+    model_path = _write(tmp_path, "model.json", body)
+    assert main(["spread", "--model", str(model_path), "--p", "1"]) == 1
+    assert "error: malformed node: [0, 0.5]" in capsys.readouterr().err
 
 
 def test_saving_a_tree_too_deep_for_the_format_raises(tmp_path):

@@ -6,7 +6,8 @@ TypeError; a value of the right type out of range (NaN, a negative value,
 p = 0 where an ensemble result needs p >= 1 or inf, an infinite norm or
 perturbation component) raises ValueError.  A new entry point that takes
 p, k, an instance, a label, a count, a seed, a norm or a component belongs
-in ``ENTRY_POINTS``.
+in ``ENTRY_POINTS``.  ``MALFORMED`` holds the rows whose bad argument is a
+structure, not one of those kinds.
 """
 
 from math import inf, nan
@@ -32,6 +33,7 @@ from spreadverify import (
     minimal_joint_attack,
     norm,
     oplus,
+    parse_graph,
     predict_ensemble,
     predict_tree,
     reachable,
@@ -40,6 +42,7 @@ from spreadverify import (
     robustness_score,
     split_attack,
     spread,
+    train_large_spread,
     train_random_forest,
     update_norm,
 )
@@ -180,3 +183,32 @@ def test_entry_point_refuses_bad_value(name, arg, value, error):
     call, valid, _ = ENTRY_POINTS[name]
     with pytest.raises(error):
         call(**{**valid, arg: value})
+
+
+# name -> (call, error, message fragment)
+MALFORMED = {
+    "Split-child": (lambda: Split(0, 0.5, Leaf(-1), "leaf"), TypeError, "child nodes"),
+    "DecisionTree-root": (lambda: DecisionTree(Leaf), TypeError, "tree root"),
+    "Ensemble-tree": (lambda: Ensemble((STUMP.root,), 1), TypeError, "tree 0 is not"),
+    "spread-tree": (lambda: spread([STUMP, STUMP.root], inf), TypeError, "DecisionTree"),
+    "Dataset-1d": (lambda: Dataset(np.zeros(4), np.ones(4)), ValueError, "2-D"),
+    "get_best_tree-empty": (lambda: get_best_tree([], [STUMP], inf, 0.1), ValueError, "pool"),
+    "train_large_spread-partitions": (
+        lambda: train_large_spread(
+            Dataset(np.zeros((4, 3)), np.array([-1, 1, -1, 1])),
+            TrainConfig(num_trees=1, max_depth=2, p=inf, k=0.1, partitions=2),
+        ),
+        ValueError, "more partitions than trees",
+    ),
+    "parse_graph-header": (lambda: parse_graph("3 two\n"), ValueError, "integer header"),
+    "split_attack-lengths": (
+        lambda: split_attack(STUMP, FAR, (0.0,), (1.0, 2.0)), ValueError, "same dimensionality"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_structure_is_refused(name):
+    call, error, fragment = MALFORMED[name]
+    with pytest.raises(error, match=fragment):
+        call()

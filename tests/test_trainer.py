@@ -326,6 +326,8 @@ def test_fix_in_place_matches_a_full_sweep_draw_for_draw():
         fast_rng, reference_rng = random.Random(seed), random.Random(seed)
         ok = _fix_in_place(fast, k, max_iter, fast_rng)
         assert ok == _full_sweep_fix(reference, k, max_iter, reference_rng)
+        # The flag is the spread condition itself, with no rescan behind it.
+        assert ok == (_min_cross_tree_gap(fast) > 2.0 * k)
         assert fast == reference
         assert fast_rng.getstate() == reference_rng.getstate()
         outcomes[ok] += 1
