@@ -35,6 +35,7 @@ from .core import (
     Node,
     NormOrder,
     Split,
+    _as_count,
     _as_float,
     _as_int,
     _check_attacker,
@@ -397,6 +398,7 @@ def _cmd_spread(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    _as_count(args.cases, "cases")
     rng = random.Random(args.seed)
     agree = 0
     mismatches = []

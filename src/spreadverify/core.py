@@ -19,18 +19,16 @@ coordinates the same way.  Nothing is coerced.  Only the power-domain
 helpers of the verifier's inner loop take their arguments unchecked.
 
 All types are immutable after construction and all functions are pure, so
-everything here is safe for unrestricted concurrent use.  An
-:class:`Ensemble` stores two things beyond its trees, both computed once in
-its constructor from one per-feature sort of its thresholds and never
-changed afterwards: the minimum cross-tree threshold gap behind
-:func:`spread`, and a per-feature index of sorted thresholds with the tree
-owning each, which the verifier bisects to find the trees within reach of
-an instance.
+everything here is safe for unrestricted concurrent use.  A tree keeps its
+preorder (a ``(feature, threshold)`` pair per split, a label per leaf) and
+compares and hashes by it, without recursion.  An :class:`Ensemble` keeps
+``_feature_index`` of its splits, each feature's sorted thresholds with
+the tree owning each, which the verifier bisects to find the trees within
+reach of an instance, and the minimum cross-tree gap behind :func:`spread`.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, field
 from math import fsum, inf, isfinite, nextafter
@@ -216,19 +214,29 @@ class DecisionTree:
     otherwise.
     """
 
-    root: Node
+    root: Node = field(compare=False)
     node_count: int = field(init=False, compare=False)
     max_feature: int = field(init=False, compare=False)
+    # The tree in preorder, a (feature, threshold) pair per split and a label
+    # per leaf: the one flat form, which == and hash compare without recursion.
+    _preorder: tuple[Union[tuple[int, float], int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.root, (Leaf, Split)):
             raise TypeError(f"tree root must be Leaf or Split, got {self.root!r}")
-        splits, max_feature = 0, -1
-        for split in iter_splits(self.root):
-            splits += 1
-            max_feature = max(max_feature, split.feature)
-        # Every split has two children, so a tree has one more leaf than splits.
-        object.__setattr__(self, "node_count", 2 * splits + 1)
+        preorder, max_feature, stack = [], -1, [self.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Split):
+                preorder.append((node.feature, node.threshold))
+                if node.feature > max_feature:
+                    max_feature = node.feature
+                stack.append(node.right)
+                stack.append(node.left)
+            else:
+                preorder.append(node.label)
+        object.__setattr__(self, "_preorder", tuple(preorder))
+        object.__setattr__(self, "node_count", len(preorder))
         object.__setattr__(self, "max_feature", max_feature)
 
 
@@ -262,12 +270,9 @@ class Ensemble:
                 )
         object.__setattr__(self, "trees", trees)
         object.__setattr__(self, "dimensionality", d)
-        by_feature = _by_feature(_flat_splits(trees))
-        # _feature_gap sorts each feature's pairs in place; the index keeps them.
-        gap = min(map(_feature_gap, by_feature.values()), default=inf)
-        index = tuple((f, *zip(*pairs)) for f, pairs in by_feature.items())
-        object.__setattr__(self, "_min_gap", gap)
-        object.__setattr__(self, "_index", index)
+        index = _feature_index(_flat_splits(trees))
+        object.__setattr__(self, "_min_gap", _min_gap(index))
+        object.__setattr__(self, "_index", tuple((f, *entry) for f, entry in index.items()))
 
     @property
     def num_trees(self) -> int:
@@ -467,49 +472,46 @@ def oplus(norms: Sequence[float], p: NormOrder) -> float:
 def _flat_splits(trees: Sequence[DecisionTree]) -> list[tuple[int, float, int]]:
     """``(feature, threshold, tree index)`` of every split, tree-major preorder."""
     return [
-        (split.feature, split.threshold, i)
+        (*node, i)
         for i, tree in enumerate(trees)
-        for split in iter_splits(tree)
+        for node in tree._preorder
+        if type(node) is tuple
     ]
 
 
-def _by_feature(splits: Iterable[tuple[int, float, int]]) -> dict[int, list[tuple[float, int]]]:
-    """Each feature's ``(threshold, tree index)`` pairs, in ``splits`` order."""
-    by_feature: dict[int, list[tuple[float, int]]] = {}
-    for feature, threshold, tree in splits:
-        by_feature.setdefault(feature, []).append((threshold, tree))
-    return by_feature
+def _feature_index(
+    splits: Iterable[tuple[int, float, int]],
+) -> dict[int, tuple[tuple[float, ...], tuple[int, ...]]]:
+    """Each feature's thresholds in ascending order, and the tree owning each.
 
-
-def _feature_gap(entries: list[tuple[float, int]]) -> float:
-    """Smallest gap between the thresholds of distinct trees on one feature.
-
-    ``entries`` holds that feature's ``(threshold, tree index)`` pairs and
-    is sorted in place; the result is +inf when only one tree is present.
+    ``splits`` holds ``(feature, threshold, tree index)`` triples.  Features
+    keep their order of first use; equal thresholds are in tree order.
     """
-    entries.sort()
+    pairs: dict[int, list[tuple[float, int]]] = {}
+    for feature, threshold, tree in splits:
+        pairs.setdefault(feature, []).append((threshold, tree))
+    return {f: tuple(zip(*sorted(entries))) for f, entries in pairs.items()}
+
+
+def _cross_tree_gap(thresholds: Sequence[float], owners: Sequence[int]) -> float:
+    """Smallest gap between sorted ``thresholds`` of distinct ``owners``, or +inf."""
+    # The minimum is realized by some adjacent pair whose owners differ.
     best = inf
-    # The minimum cross-tree gap is realized by some adjacent pair (in
-    # sorted threshold order) whose trees differ.
-    for (v1, i1), (v2, i2) in itertools.pairwise(entries):
+    for v1, v2, i1, i2 in zip(thresholds, thresholds[1:], owners, owners[1:]):
         if i1 != i2 and v2 - v1 < best:
             best = v2 - v1
     return best
 
 
-def _min_cross_tree_gap(splits: Iterable[tuple[int, float, int]]) -> float:
-    """Smallest ``|a - b|`` over same-feature thresholds of distinct trees.
-
-    ``splits`` holds ``(feature, threshold, tree index)`` triples; the result
-    is +inf when no feature is tested by two distinct trees.
-    """
-    return min(map(_feature_gap, _by_feature(splits).values()), default=inf)
+def _min_gap(index: Mapping[int, tuple[Sequence[float], Sequence[int]]]) -> float:
+    """Smallest same-feature gap between distinct trees over a feature index."""
+    return min((_cross_tree_gap(*entry) for entry in index.values()), default=inf)
 
 
 def _gap_of(trees: "Ensemble | Sequence[DecisionTree]") -> float:
     if isinstance(trees, Ensemble):
         return trees._min_gap
-    return _min_cross_tree_gap(_flat_splits(_tree_sequence(trees)))
+    return _min_gap(_feature_index(_flat_splits(_tree_sequence(trees))))
 
 
 def spread(trees: "Ensemble | Sequence[DecisionTree]", p: NormOrder) -> float:

@@ -11,9 +11,10 @@ conflict, until the spread condition holds or the sweep budget runs out.
 Each sweep visits only the features that still have a conflict, which makes
 the same draws as a sweep over every pair.  Trees whose repair fails are
 discarded, so every returned ensemble is large-spread by construction.
+CART growth emits each tree in the preorder a :class:`DecisionTree` keeps.
 Selection and repair work on one flat list of ``(feature, threshold, tree
-index)`` splits, and the selected trees are rebuilt from it, without
-recursion, once training succeeds.
+index)`` splits, read through ``core._feature_index``, and only the trees
+training keeps are built, once, from their preorders, without recursion.
 
 ``train_large_spread`` also partitions the features round-robin into
 ``config.partitions`` groups, trains an independent sub-ensemble per group
@@ -31,7 +32,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,14 +41,13 @@ from .core import (
     Ensemble,
     Leaf,
     NormOrder,
-    Node,
     Split,
     _as_int,
     _check_attacker,
-    _feature_gap,
+    _cross_tree_gap,
+    _feature_index,
     _flat_splits,
     _tree_sequence,
-    iter_splits,
 )
 
 __all__ = [
@@ -188,46 +188,64 @@ def _best_split(
     return int(candidates[c]), threshold
 
 
+# A tree in preorder: a (feature, threshold) pair per split, a label per leaf.
+_Preorder = Sequence[Union[tuple[int, float], int]]
+
+
 def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    depth: int,
-    max_depth: int,
-    n_candidates: int,
-    rng: random.Random,
-) -> Node:
-    n = len(y)
-    pos = int((y == 1).sum())
-    majority = 1 if 2 * pos >= n else -1
-    if depth >= max_depth or n < 2 or pos == 0 or pos == n:
-        return Leaf(majority)
-    candidates = rng.sample(range(X.shape[1]), n_candidates)
-    found = _best_split(X, y, candidates)
-    if found is None:
-        return Leaf(majority)
-    f, threshold = found
-    mask = X[:, f] <= threshold
-    return Split(
-        f,
-        threshold,
-        _grow_tree(X[mask], y[mask], depth + 1, max_depth, n_candidates, rng),
-        _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, n_candidates, rng),
-    )
+    X: np.ndarray, y: np.ndarray, max_depth: int, n_candidates: int, rng: random.Random
+) -> _Preorder:
+    """One CART tree, in preorder.
+
+    Nodes are grown from an explicit stack that pops the left subtree
+    first, so ``rng`` draws in preorder, as a recursion would.
+    """
+    preorder = []
+    stack = [(X, y, 0)]
+    while stack:
+        X, y, depth = stack.pop()
+        n = len(y)
+        pos = int((y == 1).sum())
+        found = None
+        if depth < max_depth and n >= 2 and 0 < pos < n:
+            found = _best_split(X, y, rng.sample(range(X.shape[1]), n_candidates))
+        if found is None:
+            preorder.append(1 if 2 * pos >= n else -1)
+            continue
+        preorder.append(found)
+        mask = X[:, found[0]] <= found[1]
+        stack.append((X[~mask], y[~mask], depth + 1))
+        stack.append((X[mask], y[mask], depth + 1))
+    return preorder
 
 
 def _train_forest(
     X: np.ndarray, y: np.ndarray, count: int, max_depth: int, rng: random.Random
-) -> list[DecisionTree]:
+) -> list[_Preorder]:
     n, d = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(d)))
     trees = []
     for _ in range(count):
         idx = [rng.randrange(n) for _ in range(n)]
         sample = np.asarray(idx, dtype=np.int64)
-        trees.append(
-            DecisionTree(_grow_tree(X[sample], y[sample], 0, max_depth, n_candidates, rng))
-        )
+        trees.append(_grow_tree(X[sample], y[sample], max_depth, n_candidates, rng))
     return trees
+
+
+def _build(preorder: _Preorder) -> DecisionTree:
+    """The tree of a preorder.
+
+    Read backwards, each split finds its left and then its right subtree on
+    top of an explicit stack, so no depth of tree recurses.
+    """
+    built: list[Union[Leaf, Split]] = []
+    for node in reversed(preorder):
+        if type(node) is tuple:
+            left = built.pop()
+            built.append(Split(node[0], node[1], left, built.pop()))
+        else:
+            built.append(Leaf(node))
+    return DecisionTree(built[0])
 
 
 def _check_trainable(dataset: Dataset) -> None:
@@ -247,8 +265,8 @@ def train_random_forest(
     if _as_int(max_depth, "max_depth") < 1:
         raise ValueError("max_depth must be >= 1")
     rng = random.Random(_as_int(seed, "seed"))
-    trees = _train_forest(dataset.features, dataset.labels, num_trees, max_depth, rng)
-    return Ensemble(tuple(trees), dataset.dimensionality)
+    preorders = _train_forest(dataset.features, dataset.labels, num_trees, max_depth, rng)
+    return Ensemble(tuple(map(_build, preorders)), dataset.dimensionality)
 
 
 # ---------------------------------------------------------------------------
@@ -256,43 +274,18 @@ def train_random_forest(
 # ---------------------------------------------------------------------------
 
 
-def _rebuild(node: Node, pairs: Iterator[tuple[int, float]]) -> Node:
-    """Copy of ``node`` whose splits take, in preorder, the next ``pairs``.
-
-    Each pair is a ``(feature, threshold)``; leaves are shared unchanged.
-    The copy is assembled from the preorder node list read backwards, so
-    each split finds its left and then its right subtree on top of an
-    explicit stack, and no depth of tree recurses.
-    """
-    preorder: list[Node] = []
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        preorder.append(cur)
-        if isinstance(cur, Split):
-            stack.append(cur.right)
-            stack.append(cur.left)
-    new_pairs = [next(pairs) for cur in preorder if isinstance(cur, Split)]
-    built: list[Node] = []
-    for cur in reversed(preorder):
-        if isinstance(cur, Leaf):
-            built.append(cur)
-        else:
-            feature, threshold = new_pairs.pop()
-            left = built.pop()
-            built.append(Split(feature, threshold, left, built.pop()))
-    return built[0]
-
-
 def _rebuild_trees(
-    trees: Sequence[DecisionTree], splits: Sequence[tuple[int, float, int]]
+    preorders: Sequence[_Preorder], splits: Sequence[tuple[int, float, int]]
 ) -> list[DecisionTree]:
-    """The trees re-threaded with the features and thresholds of ``splits``.
+    """The trees of ``preorders`` with the features and thresholds of ``splits``.
 
-    ``splits`` lists every split of ``trees`` in tree-major preorder.
+    ``splits`` lists every split of ``preorders`` in tree-major preorder.
     """
     pairs = ((feature, threshold) for feature, threshold, _ in splits)
-    return [DecisionTree(_rebuild(tree.root, pairs)) for tree in trees]
+    return [
+        _build([next(pairs) if type(node) is tuple else node for node in preorder])
+        for preorder in preorders
+    ]
 
 
 def _min_gap_to(sorted_values: list[float], v: float) -> float:
@@ -305,34 +298,24 @@ def _min_gap_to(sorted_values: list[float], v: float) -> float:
     return best
 
 
-def _committed(splits: Sequence[tuple[int, float, int]]) -> dict[int, list[float]]:
-    """Sorted thresholds per feature."""
-    committed: dict[int, list[float]] = {}
-    for feature, threshold, _ in splits:
-        committed.setdefault(feature, []).append(threshold)
-    for values in committed.values():
-        values.sort()
-    return committed
-
-
-def _pairs(tree: DecisionTree) -> list[tuple[int, float]]:
-    return [(s.feature, s.threshold) for s in iter_splits(tree)]
+def _pairs(preorder: _Preorder) -> list[tuple[int, float]]:
+    return [node for node in preorder if type(node) is tuple]
 
 
 def _select_best(
     node_lists: Sequence[Sequence[tuple[int, float]]],
-    committed: dict[int, list[float]],
+    index: dict[int, tuple[tuple[float, ...], tuple[int, ...]]],
     gap: float,
 ) -> int:
-    """Index of the tree with the fewest overlapping features; first wins ties."""
+    """Index of the tree with the fewest features overlapping ``index``; first wins ties."""
     best_idx, best_count = 0, math.inf
     for i, nodes in enumerate(node_lists):
         overlapping: set[int] = set()
         for f, v in nodes:
             if f in overlapping:
                 continue
-            values = committed.get(f)
-            if values is not None and _min_gap_to(values, v) <= gap:
+            entry = index.get(f)
+            if entry is not None and _min_gap_to(entry[0], v) <= gap:
                 overlapping.add(f)
         if len(overlapping) < best_count:
             best_count = len(overlapping)
@@ -357,9 +340,9 @@ def get_best_tree(
     if not pool_seq:
         raise ValueError("pool must not be empty")
     k = _check_repair_args(p, k)[1]
-    committed = _committed(_flat_splits(_tree_sequence(current)))
-    node_lists = [_pairs(t) for t in pool_seq]
-    return pool_seq[_select_best(node_lists, committed, 2.0 * k)]
+    index = _feature_index(_flat_splits(_tree_sequence(current)))
+    node_lists = [_pairs(t._preorder) for t in pool_seq]
+    return pool_seq[_select_best(node_lists, index, 2.0 * k)]
 
 
 def _fix_in_place(
@@ -392,11 +375,10 @@ def _fix_in_place(
     gap = 2.0 * k
 
     def conflicted(candidates: Iterable[int]) -> set[int]:
-        return {
-            f
-            for f in candidates
-            if _feature_gap([(thresholds[i], owners[i]) for i in by_feature[f]]) <= gap
-        }
+        index = _feature_index(
+            (f, thresholds[i], owners[i]) for f in candidates for i in by_feature[f]
+        )
+        return {f for f, entry in index.items() if _cross_tree_gap(*entry) <= gap}
 
     todo = conflicted(by_feature)
     sweeps = 0
@@ -437,7 +419,7 @@ def fix_forest(
     splits = _flat_splits(ensemble.trees)
     if not _fix_in_place(splits, k, max_iter, random.Random(_as_int(seed, "seed"))):
         return None
-    trees = _rebuild_trees(ensemble.trees, splits)
+    trees = _rebuild_trees([tree._preorder for tree in ensemble.trees], splits)
     return Ensemble(tuple(trees), ensemble.dimensionality)
 
 
@@ -452,20 +434,20 @@ def _train_large_spread_trees(
     m: int,
     config: TrainConfig,
     rng: random.Random,
-) -> Optional[tuple[list[DecisionTree], list[tuple[int, float, int]]]]:
-    """(selected pool trees, their repaired splits), or None on failure.
+) -> Optional[tuple[list[_Preorder], list[tuple[int, float, int]]]]:
+    """(preorders of the selected pool trees, their repaired splits), or None.
 
-    The trees keep their pool thresholds; the repaired ones are in the
+    The preorders keep their pool thresholds; the repaired ones are in the
     splits, in the tree-major preorder that :func:`_rebuild_trees` takes.
     """
     pool = _train_forest(X, y, 2 * m, config.max_depth, rng)
     first = pool.pop(rng.randrange(len(pool)))
     selected = [first]
-    splits = _flat_splits(selected)
+    splits = [(f, v, 0) for f, v in _pairs(first)]
     pool_nodes = [_pairs(t) for t in pool]
     # selected + pool only shrinks: once it is below m the group has failed.
     while len(selected) < m <= len(selected) + len(pool):
-        j = _select_best(pool_nodes, _committed(splits), 2.0 * config.k)
+        j = _select_best(pool_nodes, _feature_index(splits), 2.0 * config.k)
         candidate = pool.pop(j)
         owner = len(selected)
         trial = splits + [(f, v, owner) for f, v in pool_nodes.pop(j)]

@@ -332,6 +332,13 @@ def test_oracle_check_command(capsys):
     assert "agreement 25/25" in capsys.readouterr().out
 
 
+def test_oracle_check_refuses_a_negative_case_count(capsys):
+    assert main(["oracle-check", "--cases", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cases must be >= 0, got -1\n"
+
+
 def test_oracle_check_compares_attack_norms(monkeypatch, capsys):
     from dataclasses import replace
 

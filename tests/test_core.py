@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from spreadverify import (
     spread,
     update_norm,
 )
-from spreadverify.core import _dist_raw, check_norm_order
+from spreadverify.core import _dist_raw, _feature_index, _min_gap, check_norm_order
 
 NORMS = (0, 1, 2, 3, inf)
 
@@ -386,3 +387,81 @@ def test_spread_of_a_deep_chain():
         assert spread(target, 0) == 1.0
         assert is_large_spread(target, 2, 0.1)
         assert not is_large_spread(target, 1, 0.125)
+
+
+# Few features, trees and grid values with both zeros: repeats, equal
+# thresholds in distinct trees and single-tree features are all common.
+flat_splits = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from((-1.5, -0.0, 0.0, 0.5, 1.0, 2.5)),
+        st.integers(0, 4),
+    ),
+    max_size=24,
+)
+
+
+def _brute_force_gap(splits):
+    return min(
+        (
+            abs(a - b)
+            for (f, a, s), (g, b, t) in itertools.combinations(splits, 2)
+            if f == g and s != t
+        ),
+        default=inf,
+    )
+
+
+def _right_chain(pairs):
+    # One tree per owner: its splits on a right-leaning chain, in list order.
+    node = Leaf(1)
+    for feature, threshold in reversed(pairs):
+        node = Split(feature, threshold, Leaf(-1), node)
+    return DecisionTree(node)
+
+
+@settings(max_examples=300)
+@given(splits=flat_splits)
+def test_feature_index_and_min_gap_match_brute_force(splits):
+    index = _feature_index(splits)
+    assert list(index) == list(dict.fromkeys(f for f, _, _ in splits))
+    for f, (thresholds, owners) in index.items():
+        # Sorted by threshold, then by tree, as (threshold, tree) pairs sort.
+        assert list(zip(thresholds, owners)) == sorted((v, t) for g, v, t in splits if g == f)
+    assert _min_gap(index) == _brute_force_gap(splits)
+
+    # An ensemble of one tree per owner holds the same index and spread.
+    owners = sorted({t for _, _, t in splits}) or [0]
+    trees = [_right_chain([(f, v) for f, v, t in splits if t == owner]) for owner in owners]
+    if len(trees) % 2 == 0:
+        trees.append(DecisionTree(Leaf(1)))
+    # The ensemble lists its splits tree by tree, each chain in list order.
+    renumbered = sorted(((f, v, owners.index(t)) for f, v, t in splits), key=lambda s: s[2])
+    ensemble = Ensemble(tuple(trees), 4)
+    assert ensemble._index == tuple(
+        (f, *entry) for f, entry in _feature_index(renumbered).items()
+    )
+    assert spread(ensemble, inf) == _brute_force_gap(splits)
+    assert spread(trees, 2) == _brute_force_gap(splits)
+
+
+def _chain(levels, threshold_at=None, label=1):
+    node = Leaf(label)
+    for level in reversed(range(levels)):
+        threshold = float(level) if level != threshold_at else level + 0.5
+        node = Split(0, threshold, Leaf(-1), node)
+    return node
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    # Two 5,000-level chains built apart: equality and hashing read each
+    # tree's flat preorder, never the nested Split objects.
+    a, b = DecisionTree(_chain(5000)), DecisionTree(_chain(5000))
+    assert a == b and hash(a) == hash(b)
+    stump = DecisionTree(Split(1, 0.5, Leaf(1), Leaf(-1)))
+    ea, eb = Ensemble((a, stump, stump), 2), Ensemble((b, stump, stump), 2)
+    assert ea == eb and hash(ea) == hash(eb)
+    for changed in (_chain(5000, threshold_at=2500), _chain(5000, label=-1)):
+        other = DecisionTree(changed)
+        assert other != a
+        assert Ensemble((other, stump, stump), 2) != ea

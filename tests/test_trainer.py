@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -32,7 +33,6 @@ from spreadverify.cli import (
 )
 from spreadverify.synth import two_blob_dataset
 from spreadverify import trainer
-from spreadverify.core import _min_cross_tree_gap
 from spreadverify.trainer import _fix_in_place
 
 
@@ -276,6 +276,18 @@ def test_fix_forest_failure_is_a_value():
     assert fix_forest(ensemble, inf, 50.0, max_iter=1, seed=0) is None
 
 
+def _brute_force_gap(splits):
+    """Smallest |a - b| over same-feature thresholds of distinct trees."""
+    return min(
+        (
+            abs(a - b)
+            for (f, a, s), (g, b, t) in itertools.combinations(splits, 2)
+            if f == g and s != t
+        ),
+        default=inf,
+    )
+
+
 def _full_sweep_fix(splits, k, max_iter, rng):
     """Reference repair: every same-feature pair is compared on every sweep."""
     thresholds = [threshold for _, threshold, _ in splits]
@@ -305,7 +317,7 @@ def _full_sweep_fix(splits, k, max_iter, rng):
         if not repaired:
             break
     splits[:] = [(f, v, t) for (f, _, t), v in zip(splits, thresholds)]
-    return not repaired or _min_cross_tree_gap(splits) > gap
+    return not repaired or _brute_force_gap(splits) > gap
 
 
 def test_fix_in_place_matches_a_full_sweep_draw_for_draw():
@@ -327,7 +339,7 @@ def test_fix_in_place_matches_a_full_sweep_draw_for_draw():
         ok = _fix_in_place(fast, k, max_iter, fast_rng)
         assert ok == _full_sweep_fix(reference, k, max_iter, reference_rng)
         # The flag is the spread condition itself, with no rescan behind it.
-        assert ok == (_min_cross_tree_gap(fast) > 2.0 * k)
+        assert ok == (_brute_force_gap(fast) > 2.0 * k)
         assert fast == reference
         assert fast_rng.getstate() == reference_rng.getstate()
         outcomes[ok] += 1
@@ -396,6 +408,25 @@ def test_train_failure_returns_none_not_a_bad_model(monkeypatch):
     # stops once 3 selected + 1 left in the pool can no longer make 5 trees,
     # without trying that last candidate.
     assert len(calls) == 8
+
+
+def test_training_builds_only_the_splits_it_returns(monkeypatch):
+    # The pool is grown and repaired as preorders: a Split object is made
+    # only for a split of a returned tree, once.
+    built = 0
+    post_init = Split.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Split, "__post_init__", counting)
+    data = two_blob_dataset(5, 150, 8)
+    cfg = TrainConfig(num_trees=5, max_depth=3, p=inf, k=0.05, max_iter=50, seed=33)
+    model = train_large_spread(data, cfg)
+    assert model is not None and model.node_count > model.num_trees
+    assert built == (model.node_count - model.num_trees) // 2
 
 
 def test_train_determinism_is_byte_exact():
