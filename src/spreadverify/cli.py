@@ -188,7 +188,7 @@ def bundled_dataset_path():
 
 
 def _node_to_dict(node: Node) -> dict:
-    if isinstance(node, Leaf):
+    if type(node) is Leaf:
         return {"leaf": node.label}
     return {
         "feature": node.feature,

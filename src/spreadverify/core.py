@@ -19,12 +19,17 @@ coordinates the same way.  Nothing is coerced.  Only the power-domain
 helpers of the verifier's inner loop take their arguments unchecked.
 
 All types are immutable after construction and all functions are pure, so
-everything here is safe for unrestricted concurrent use.  A tree keeps its
-preorder (a ``(feature, threshold)`` pair per split, a label per leaf) and
-compares and hashes by it, without recursion.  An :class:`Ensemble` keeps
-``_feature_index`` of its splits, each feature's sorted thresholds with
-the tree owning each, which the verifier bisects to find the trees within
-reach of an instance, and the minimum cross-tree gap behind :func:`spread`.
+everything here is safe for unrestricted concurrent use.  ``Leaf`` and
+``Split`` are slotted, and a node is exactly a ``Leaf`` or a ``Split``:
+subclasses are refused as children and as roots, so every walker tests
+``type(node) is Split`` (or ``Leaf``), the cheapest test per node.  A tree
+keeps its preorder (a ``(feature, threshold)`` pair per split, a label per
+leaf) and compares and hashes by it; ``Split`` compares, hashes and prints
+through the same iterative walk, so none of these recurses.  An
+:class:`Ensemble` keeps ``_feature_index`` of its splits, each feature's
+sorted thresholds with the tree owning each, which the verifier bisects to
+find the trees within reach of an instance, and the minimum cross-tree gap
+behind :func:`spread`.
 """
 
 from __future__ import annotations
@@ -178,7 +183,7 @@ def _check_dimensionality(x: Sequence[float], ensemble: "Ensemble") -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     label: int
 
@@ -186,7 +191,7 @@ class Leaf:
         object.__setattr__(self, "label", _as_label(self.label, "leaf label"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Split:
     feature: int
     threshold: float
@@ -197,13 +202,59 @@ class Split:
         feature = _as_count(self.feature, "feature index")
         threshold = _as_finite(self.threshold, "threshold")
         for child in (self.left, self.right):
-            if not isinstance(child, (Leaf, Split)):
+            if type(child) is not Leaf and type(child) is not Split:
                 raise TypeError(f"child nodes must be Leaf or Split, got {child!r}")
         object.__setattr__(self, "feature", feature)
         object.__setattr__(self, "threshold", threshold)
 
+    # ==, hash and repr walk the subtree on an explicit stack, so any depth
+    # fits; they agree with what the dataclass would generate.
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _walk(self)[0] == _walk(other)[0]
+
+    def __hash__(self) -> int:
+        return hash(_walk(self)[0])
+
+    def __repr__(self) -> str:
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                parts.append(node)
+            elif type(node) is Leaf:
+                parts.append(repr(node))
+            else:
+                parts.append(
+                    f"{type(node).__qualname__}(feature={node.feature!r}, "
+                    f"threshold={node.threshold!r}, left="
+                )
+                stack += (")", node.right, ", right=", node.left)
+        return "".join(parts)
+
 
 Node = Union[Leaf, Split]
+
+
+def _walk(root: Node) -> tuple[tuple[Union[tuple[int, float], int], ...], int]:
+    """The preorder under ``root`` and its largest feature (-1 for a leaf).
+
+    The preorder holds a ``(feature, threshold)`` pair per split and a label
+    per leaf.  An explicit stack, so any depth fits.
+    """
+    preorder, max_feature, stack = [], -1, [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is Leaf:
+            preorder.append(node.label)
+        else:
+            preorder.append((node.feature, node.threshold))
+            if node.feature > max_feature:
+                max_feature = node.feature
+            stack.append(node.right)
+            stack.append(node.left)
+    return tuple(preorder), max_feature
 
 
 @dataclass(frozen=True)
@@ -222,20 +273,11 @@ class DecisionTree:
     _preorder: tuple[Union[tuple[int, float], int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.root, (Leaf, Split)):
-            raise TypeError(f"tree root must be Leaf or Split, got {self.root!r}")
-        preorder, max_feature, stack = [], -1, [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Split):
-                preorder.append((node.feature, node.threshold))
-                if node.feature > max_feature:
-                    max_feature = node.feature
-                stack.append(node.right)
-                stack.append(node.left)
-            else:
-                preorder.append(node.label)
-        object.__setattr__(self, "_preorder", tuple(preorder))
+        root = self.root
+        if type(root) is not Leaf and type(root) is not Split:
+            raise TypeError(f"tree root must be Leaf or Split, got {root!r}")
+        preorder, max_feature = _walk(root)
+        object.__setattr__(self, "_preorder", preorder)
         object.__setattr__(self, "node_count", len(preorder))
         object.__setattr__(self, "max_feature", max_feature)
 
@@ -304,7 +346,7 @@ def iter_splits(tree: "DecisionTree | Node") -> Iterator[Split]:
     stack = [node]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, Split):
+        if type(cur) is Split:
             yield cur
             stack.append(cur.right)
             stack.append(cur.left)
@@ -315,7 +357,7 @@ def _tree_labels(trees: Iterable[DecisionTree], x: Sequence[float]) -> list[int]
     labels = []
     for tree in trees:
         node = tree.root
-        while isinstance(node, Split):
+        while type(node) is Split:
             node = node.left if x[node.feature] <= node.threshold else node.right
         labels.append(node.label)
     return labels

@@ -90,7 +90,7 @@ def leaf_regions(tree: DecisionTree) -> list[tuple[int, Box]]:
     stack: list[tuple[Node, Box]] = [(tree.root, {})]
     while stack:
         node, rect = stack.pop()
-        if isinstance(node, Leaf):
+        if type(node) is Leaf:
             out.append((node.label, rect))
             continue
         f, v = node.feature, node.threshold
@@ -289,7 +289,7 @@ def split_attack(
     _check_finite(z)
     crossed: set[int] = set()
     node = tree.root
-    while isinstance(node, Split):
+    while type(node) is Split:
         f, v = node.feature, node.threshold
         if (x[f] <= v) != (z[f] <= v):
             crossed.add(f)

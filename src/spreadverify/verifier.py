@@ -11,9 +11,12 @@ runs in O(N + m log m) at worst.  Per instance it descends each tree once
 for the votes, bisects each feature's sorted thresholds (the ensemble's
 index) for the trees with a threshold within k of x, and traverses only
 those that vote for the prediction: a tree voting against it costs 0, and
-any other tree cannot change its vote within budget.  Under large spread
-a feature's window holds the thresholds of at most one tree, unless the
-spread is within the window's relative slack of 2k.
+any other tree cannot change its vote within budget.  One bisection shows
+that a feature's window is empty, as most are; a second, only when it is
+not, finds the window's end.  Under large spread a feature's window holds
+the thresholds of at most one tree, unless the spread is within the
+window's relative slack of 2k.  Nodes are exactly ``Leaf`` or ``Split``
+(``core`` refuses subclasses), so the traversals test ``type(node)``.
 
 The ensemble verdict is sound only under the spread precondition, so it is
 always checked (a comparison against the threshold gap each ensemble stores
@@ -85,7 +88,7 @@ class NotLargeSpreadError(SpreadVerifyError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationVerdict:
     """Outcome of one ensemble verification.
 
@@ -126,7 +129,7 @@ def _wrong_leaf_costs(
         if f is not None:
             undo.append((f, box.get(f)))
             box[f] = bounds
-        if isinstance(node, Leaf):
+        if type(node) is Leaf:
             if node.label != y:
                 cost = rect_cost_power(box, x, p)
                 if cost <= budget:
@@ -187,9 +190,9 @@ def _live_trees(ensemble: Ensemble, x: Sequence[float], w: float) -> set[int]:
     for f, thresholds, owners in ensemble._index:
         xf = x[f]
         i = bisect_left(thresholds, xf - w)
-        j = bisect_right(thresholds, xf + w, i)
-        if i < j:  # most windows are empty
-            live.update(owners[i:j])
+        # Most windows are empty, which the threshold at i alone shows.
+        if i < len(thresholds) and thresholds[i] <= xf + w:
+            live.update(owners[i:bisect_right(thresholds, xf + w, i)])
     return live
 
 

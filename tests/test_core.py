@@ -22,7 +22,7 @@ from spreadverify import (
     spread,
     update_norm,
 )
-from spreadverify.core import _dist_raw, _feature_index, _min_gap, check_norm_order
+from spreadverify.core import _dist_raw, _feature_index, _min_gap, check_norm_order, power_total
 
 NORMS = (0, 1, 2, 3, inf)
 
@@ -224,6 +224,14 @@ def test_norm_examples():
     assert norm((1.0, -2.0, 0.0), 0) == 2.0
 
 
+def test_power_total_is_order_independent_at_finite_p():
+    # The verifier and the oracle sum one leaf's contributions in different
+    # orders; a plain left-to-right sum would drop the small ones here.
+    contribs = [1.0] + [1e-16] * 10
+    for p in (1, 2, 3):
+        assert power_total(contribs, p) == power_total(contribs[::-1], p) == 1.000000000000001
+
+
 def test_update_norm_examples():
     assert update_norm(inf, 2.0, 0.0, 3.0) == 3.0
     assert update_norm(2, 5.0, 4.0, 0.0) == 3.0
@@ -314,7 +322,9 @@ def test_spread_of_stump_trio(stump_trio):
 def test_spread_disjoint_features_is_infinite():
     a = DecisionTree(Split(0, 12.0, Leaf(1), Leaf(-1)))
     b = DecisionTree(Split(1, 17.0, Leaf(1), Leaf(-1)))
-    assert spread([a, b], 1) == inf
+    # No feature is shared, so no gap exists: +inf at p = 0 too, not 1.
+    for p in NORMS:
+        assert spread([a, b], p) == inf
 
 
 def test_spread_single_tree_is_infinite(stump_trio):
@@ -454,14 +464,29 @@ def _chain(levels, threshold_at=None, label=1):
 
 
 def test_deep_trees_compare_and_hash_without_recursion():
-    # Two 5,000-level chains built apart: equality and hashing read each
-    # tree's flat preorder, never the nested Split objects.
-    a, b = DecisionTree(_chain(5000)), DecisionTree(_chain(5000))
-    assert a == b and hash(a) == hash(b)
+    # Two 5,000-level chains built apart: ==, hash and repr of a Split, a
+    # tree and an ensemble walk explicit stacks, never the nested calls.
+    a, b = _chain(5000), _chain(5000)
     stump = DecisionTree(Split(1, 0.5, Leaf(1), Leaf(-1)))
-    ea, eb = Ensemble((a, stump, stump), 2), Ensemble((b, stump, stump), 2)
-    assert ea == eb and hash(ea) == hash(eb)
+    ea = Ensemble((DecisionTree(a), stump, stump), 2)
+    eb = Ensemble((DecisionTree(b), stump, stump), 2)
+    for one, other in ((a, b), (DecisionTree(a), DecisionTree(b)), (ea, eb)):
+        assert one == other and hash(one) == hash(other)
+        assert repr(one) == repr(other)
+    assert repr(a).count("Split(") == 5000
+    assert a != a.right and a != Leaf(1)
     for changed in (_chain(5000, threshold_at=2500), _chain(5000, label=-1)):
+        assert changed != a
         other = DecisionTree(changed)
-        assert other != a
+        assert other != DecisionTree(a)
         assert Ensemble((other, stump, stump), 2) != ea
+
+
+def test_repr_is_the_dataclass_form():
+    tree = DecisionTree(Split(0, 0.5, Split(1, -0.0, Leaf(-1), Leaf(1)), Leaf(1)))
+    assert repr(tree) == (
+        "DecisionTree(root=Split(feature=0, threshold=0.5, left=Split(feature=1, "
+        "threshold=-0.0, left=Leaf(label=-1), right=Leaf(label=1)), "
+        "right=Leaf(label=1)), node_count=5, max_feature=1)"
+    )
+    assert repr(Ensemble((tree,), 2)) == f"Ensemble(trees=({tree!r},), dimensionality=2)"

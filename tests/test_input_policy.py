@@ -54,6 +54,17 @@ MODEL = Ensemble((STUMP,), 1)
 DATA = Dataset(np.array([[0.0], [0.2], [0.9], [1.0]]), np.array([-1, -1, 1, 1]))
 TRIANGLE = Graph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
 
+
+# A node is exactly a Leaf or a Split: the walkers test the type, not the class
+# hierarchy, so a subclass is refused wherever a node goes.
+class SubLeaf(Leaf):
+    pass
+
+
+class SubSplit(Split):
+    pass
+
+
 # Bad values per kind of argument, with the error each must raise.
 BAD = {
     "p": [("string", "2", ValueError), ("bool", True, ValueError),
@@ -189,6 +200,17 @@ def test_entry_point_refuses_bad_value(name, arg, value, error):
 MALFORMED = {
     "Split-child": (lambda: Split(0, 0.5, Leaf(-1), "leaf"), TypeError, "child nodes"),
     "DecisionTree-root": (lambda: DecisionTree(Leaf), TypeError, "tree root"),
+    "Split-child-Leaf-subclass": (
+        lambda: Split(0, 0.5, SubLeaf(-1), Leaf(1)), TypeError, "child nodes"
+    ),
+    "Split-child-Split-subclass": (
+        lambda: Split(0, 0.5, Leaf(-1), SubSplit(0, 1.0, Leaf(-1), Leaf(1))),
+        TypeError, "child nodes",
+    ),
+    "DecisionTree-root-Leaf-subclass": (lambda: DecisionTree(SubLeaf(1)), TypeError, "tree root"),
+    "DecisionTree-root-Split-subclass": (
+        lambda: DecisionTree(SubSplit(0, 0.5, Leaf(-1), Leaf(1))), TypeError, "tree root"
+    ),
     "Ensemble-tree": (lambda: Ensemble((STUMP.root,), 1), TypeError, "tree 0 is not"),
     "spread-tree": (lambda: spread([STUMP, STUMP.root], inf), TypeError, "DecisionTree"),
     "Dataset-1d": (lambda: Dataset(np.zeros(4), np.ones(4)), ValueError, "2-D"),

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
 from math import inf, nextafter
@@ -221,6 +223,29 @@ def test_not_large_spread_error_payload(stump_trio_ensemble):
     assert info.value.required_gap == 4.0
 
 
+def test_spread_of_exactly_2k_is_refused():
+    # Large spread is strict: at a gap of exactly 2k two trees can be flipped
+    # by one coordinate, so the verdict would not compose.
+    ensemble = Ensemble(
+        tuple(DecisionTree(Split(0, v, Leaf(1), Leaf(-1))) for v in (0.0, 1.0, 2.0)), 1
+    )
+    for p in (1, 2, inf):
+        with pytest.raises(NotLargeSpreadError):
+            robust_ensemble(ensemble, p, 0.5, (0.5,), 1)
+        robust_ensemble(ensemble, p, nextafter(0.5, 0.0), (0.5,), 1)
+
+
+def test_an_empty_branch_is_never_reached():
+    # The inner split's right branch needs 1.0 < x0 <= 1.0, which no
+    # instance meets, whatever the budget.
+    tree = DecisionTree(Split(0, 1.0, Split(0, 1.0, Leaf(1), Leaf(-1)), Leaf(1)))
+    x, y, k = (0.0,), 1, 10.0
+    for p in (1, 2, inf):
+        assert reachable(tree, p, k, x, y) == frozenset()
+        assert robust_ensemble(Ensemble((tree,), 1), p, k, x, y).robust
+        assert exact_robust(Ensemble((tree,), 1), p, k, x, y) == (True, None)
+
+
 def test_ensemble_rejects_p0(staircase_stumps):
     with pytest.raises(ValueError):
         robust_ensemble(staircase_stumps, 0, 1.0, (11.0,), 1)
@@ -395,6 +420,46 @@ def test_large_spread_leaves_at_most_one_live_tree_per_feature(chains, x, k):
     assert _live_trees(ensemble, x, w) == live
 
 
+def _in_window(ensemble, x, w):
+    # The definition the index implements: a threshold v on feature f with
+    # v >= x[f] - w and v <= x[f] + w, as the same float predicates.
+    return {
+        i
+        for i, tree in enumerate(ensemble.trees)
+        for s in iter_splits(tree)
+        if s.threshold >= x[s.feature] - w and s.threshold <= x[s.feature] + w
+    }
+
+
+def test_live_window_matches_its_definition():
+    rng = random.Random(26)
+    live_counts = []
+    for _ in range(200):
+        # Grid thresholds, shared between trees so equal thresholds of
+        # different trees are common, and a few arbitrary floats.
+        grid = [rng.randrange(-40, 40) / 4.0 for _ in range(5)]
+        grid += [rng.uniform(-10.0, 10.0) for _ in range(2)]
+        trees = []
+        for _ in range(rng.choice((1, 3, 5, 7))):
+            node = Leaf(1)
+            for _ in range(rng.randrange(4)):
+                node = Split(rng.randrange(3), rng.choice(grid), Leaf(-1), node)
+            trees.append(DecisionTree(node))
+        ensemble = Ensemble(tuple(trees), 3)
+        for w in (0.0, 0.25, 1.0, 1.0 * _PRUNE_SLACK, rng.uniform(0.0, 3.0)):
+            values = [rng.uniform(-12.0, 12.0), -100.0, 100.0]  # and past both ends
+            for v in grid:
+                for edge in (v - w, v + w):  # x[f] -+ w on a threshold ...
+                    values += [edge, nextafter(edge, -inf), nextafter(edge, inf)]  # ... and an ulp off
+            for _ in range(6):
+                x = tuple(rng.choice(values) for _ in range(3))
+                live = _live_trees(ensemble, x, w)
+                assert live == _in_window(ensemble, x, w)
+                live_counts.append(len(live))
+    # Both empty and non-empty windows are common.
+    assert 0.2 < sum(map(bool, live_counts)) / len(live_counts) < 0.8
+
+
 def test_robustness_score_counts(two_feature_stumps):
     # one robust instance, one whose prediction flips within budget
     import numpy as np
@@ -466,3 +531,32 @@ def test_one_nan_coordinate_is_an_error_on_both_sides():
             robust_ensemble(ensemble, p, k, x, y)
         with pytest.raises(ValueError):
             exact_robust(ensemble, p, k, x, y)
+
+
+def test_models_and_verdicts_pickle_and_deepcopy():
+    # Slotted dataclasses keep no __dict__; both copies must still restore
+    # every field, the private ones included.
+    tree = DecisionTree(Split(0, 0.5, Split(1, 2.0, Leaf(-1), Leaf(1)), Leaf(1)))
+    ensemble = Ensemble(
+        (
+            tree,
+            DecisionTree(Split(1, 9.0, Leaf(1), Leaf(-1))),
+            DecisionTree(Split(0, 3.0, Leaf(1), Leaf(-1))),
+        ),
+        2,
+    )
+    x = (2.5, 8.5)
+    verdict = robust_ensemble(ensemble, 2, 0.75, x, 1)
+    assert not verdict.stable
+    copies = [copy.deepcopy((ensemble, verdict))]
+    copies += [
+        pickle.loads(pickle.dumps((ensemble, verdict), protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for ensemble_copy, verdict_copy in copies:
+        assert ensemble_copy == ensemble and ensemble_copy.trees[0].root == tree.root
+        assert repr(ensemble_copy) == repr(ensemble)
+        assert ensemble_copy._index == ensemble._index
+        assert ensemble_copy._min_gap == ensemble._min_gap
+        assert repr(verdict_copy) == repr(verdict)
+        assert robust_ensemble(ensemble_copy, 2, 0.75, x, 1) == verdict
