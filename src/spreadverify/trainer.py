@@ -8,9 +8,10 @@ grows an ensemble greedily: it always picks the pool tree with the fewest
 feature overlaps against the current selection and repairs remaining
 overlaps by pushing conflicting threshold pairs apart, one random offset per
 conflict, until the spread condition holds or the sweep budget runs out.
-Each sweep visits only the features that still have a conflict, which makes
-the same draws as a sweep over every pair.  Trees whose repair fails are
-discarded, so every returned ensemble is large-spread by construction.
+Each sweep visits only the features on which the last one found a conflict,
+which draws as a sweep over every pair would; a sweep that finds none ends
+repair.  Trees whose repair fails are discarded, so every returned ensemble
+is large-spread by construction.
 CART growth emits each tree in the preorder a :class:`DecisionTree` keeps.
 Selection and repair work on one flat list of ``(feature, threshold, tree
 index)`` splits, read through ``core._feature_index``, and only the trees
@@ -32,7 +33,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .core import (
     Split,
     _as_int,
     _check_attacker,
-    _cross_tree_gap,
     _feature_index,
     _flat_splits,
     _tree_sequence,
@@ -355,16 +355,16 @@ def _fix_in_place(
     visited in list order of the first split, then of the second; each
     conflict draws one offset from (k, 2k] and moves the smaller threshold
     down and the larger one up, so a repaired pair ends strictly more than
-    2k apart.  At most ``max_iter`` sweeps run, and repair ends when no
-    conflict is left.  Returns False when the spread condition still fails
-    after the last sweep.
+    2k apart.  Repair ends at a sweep that finds no conflict; after
+    ``max_iter`` sweeps that drew, a pass that draws nothing finds whether
+    any is left.  Returns False when the spread condition still fails.
 
-    A sweep visits only the splits of conflicted features, those with some
-    cross-tree pair at most 2k apart.  A threshold moves only when a pair on
-    its own feature conflicts, so a feature without conflict at the start
-    of a sweep would make no draw in it: skipping it leaves every draw, and
-    so every threshold and the state of ``rng``, as a sweep over all pairs
-    would.  Only the features a sweep repaired are checked again after it.
+    A sweep visits only the splits of the features on which the sweep
+    before it found a conflict (the first, every split).  A threshold moves
+    only when a pair on its own feature conflicts, so any other feature kept
+    its thresholds, each pair compared at its final value: skipping it skips
+    no draw, and every threshold and the state of ``rng`` are those of a
+    sweep over all pairs.
     """
     thresholds = [threshold for _, threshold, _ in splits]
     owners = [tree for _, _, tree in splits]
@@ -373,17 +373,9 @@ def _fix_in_place(
     for i, feature in enumerate(features):
         by_feature.setdefault(feature, []).append(i)
     gap = 2.0 * k
-
-    def conflicted(candidates: Iterable[int]) -> set[int]:
-        index = _feature_index(
-            (f, thresholds[i], owners[i]) for f in candidates for i in by_feature[f]
-        )
-        return {f for f, entry in index.items() if _cross_tree_gap(*entry) <= gap}
-
-    todo = conflicted(by_feature)
-    sweeps = 0
-    while todo and sweeps < max_iter:
-        sweeps += 1
+    conflicts = set(by_feature)  # the first sweep visits every feature
+    for sweep in range(max_iter + 1):
+        todo, conflicts = conflicts, set()
         for i in sorted(i for f in todo for i in by_feature[f]):
             tree = owners[i]
             peers = by_feature[features[i]]
@@ -392,6 +384,9 @@ def _fix_in_place(
                 w = thresholds[j]
                 # abs(v - w) <= gap, without the call
                 if -gap <= v - w <= gap and owners[j] != tree:
+                    conflicts.add(features[i])
+                    if sweep == max_iter:
+                        continue  # the check-only pass draws nothing
                     offset = k + k * (1.0 - rng.random())  # uniform in (k, 2k]
                     if v <= w:
                         v -= offset
@@ -400,10 +395,10 @@ def _fix_in_place(
                         v += offset
                         thresholds[j] = w - offset
                     thresholds[i] = v
-        # No other feature moved, so an empty set means every gap is > 2k.
-        todo = conflicted(todo)
+        if not conflicts:
+            break
     splits[:] = [(f, v, t) for f, v, t in zip(features, thresholds, owners)]
-    return not todo
+    return not conflicts
 
 
 def fix_forest(

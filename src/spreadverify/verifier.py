@@ -66,10 +66,11 @@ __all__ = [
     "robustness_score",
 ]
 
-# Relative slack applied to the pruning budget only: the incremental
-# subtract-then-add cost updates can drift by a few ulps relative to the
-# correctly-rounded evaluation used at leaves, and pruning must never cut a
-# leaf that the canonical evaluation would accept.
+# Relative slack on the pruning budget and the live-tree window, at every p:
+# at finite p the incremental subtract-then-add cost updates can drift by a
+# few ulps from the correctly-rounded evaluation used at leaves, and pruning
+# must never cut a leaf that evaluation would accept.  At p = 0 and inf the
+# costs are exact, and the slack only visits nodes whose leaves fail the filter.
 _PRUNE_SLACK = 1.0 + 1e-9
 
 
@@ -113,7 +114,7 @@ def _wrong_leaf_costs(
     depth of its parent's ``(lo, hi)`` box, restored before its own narrowing.
     """
     budget = norm_to_power(k, p)
-    prune_budget = budget if (p == 0 or p == inf) else budget * _PRUNE_SLACK
+    prune_budget = budget * _PRUNE_SLACK
     box: dict[int, tuple[float, float]] = {}
     undo: list[tuple[int, Optional[tuple[float, float]]]] = []
     out: list[float] = []

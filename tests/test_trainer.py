@@ -289,7 +289,10 @@ def _brute_force_gap(splits):
 
 
 def _full_sweep_fix(splits, k, max_iter, rng):
-    """Reference repair: every same-feature pair is compared on every sweep."""
+    """Reference repair: every same-feature pair is compared on every sweep.
+
+    Returns (the spread condition holds, the number of sweeps that drew).
+    """
     thresholds = [threshold for _, threshold, _ in splits]
     owners = [tree for _, _, tree in splits]
     by_feature: dict[int, list[int]] = {}
@@ -297,6 +300,7 @@ def _full_sweep_fix(splits, k, max_iter, rng):
         by_feature.setdefault(feature, []).append(i)
     gap = 2.0 * k
     repaired = True
+    drew = 0
     for _ in range(max_iter):
         repaired = False
         for i, (feature, _, tree) in enumerate(splits):
@@ -316,8 +320,9 @@ def _full_sweep_fix(splits, k, max_iter, rng):
                         thresholds[j] = w - offset
         if not repaired:
             break
+        drew += 1
     splits[:] = [(f, v, t) for (f, _, t), v in zip(splits, thresholds)]
-    return not repaired or _brute_force_gap(splits) > gap
+    return not repaired or _brute_force_gap(splits) > gap, drew
 
 
 def test_fix_in_place_matches_a_full_sweep_draw_for_draw():
@@ -326,6 +331,8 @@ def test_fix_in_place_matches_a_full_sweep_draw_for_draw():
     cases = random.Random(2024)
     outcomes = {True: 0, False: 0}
     single_sweep = 0
+    # Outcomes that only the pass after the last allowed sweep decides.
+    on_last_sweep = {True: 0, False: 0}
     for seed in range(400):
         splits = [
             (cases.randrange(4), cases.randrange(12) * 0.5, tree)
@@ -337,14 +344,17 @@ def test_fix_in_place_matches_a_full_sweep_draw_for_draw():
         fast, reference = list(splits), list(splits)
         fast_rng, reference_rng = random.Random(seed), random.Random(seed)
         ok = _fix_in_place(fast, k, max_iter, fast_rng)
-        assert ok == _full_sweep_fix(reference, k, max_iter, reference_rng)
+        reference_ok, drew = _full_sweep_fix(reference, k, max_iter, reference_rng)
+        assert ok == reference_ok
         # The flag is the spread condition itself, with no rescan behind it.
         assert ok == (_brute_force_gap(fast) > 2.0 * k)
         assert fast == reference
         assert fast_rng.getstate() == reference_rng.getstate()
         outcomes[ok] += 1
         single_sweep += max_iter == 1
+        on_last_sweep[ok] += drew == max_iter
     assert min(outcomes.values()) >= 40 and single_sweep >= 40
+    assert min(on_last_sweep.values()) >= 40, on_last_sweep
 
 
 def test_fix_forest_on_a_5000_level_chain():

@@ -246,6 +246,21 @@ def test_an_empty_branch_is_never_reached():
         assert exact_robust(Ensemble((tree,), 1), p, k, x, y) == (True, None)
 
 
+def test_a_leaf_at_exactly_the_budget_survives_drift_on_its_path():
+    # On the way to the -1 leaf the running L1 cost is 0.8 + 0.9 - 0.9 + 1.1,
+    # which rounds to 1.9000000000000004, above the leaf's own cost
+    # 1.9000000000000001, the budget: only the pruning slack keeps the leaf.
+    tree = DecisionTree(
+        Split(0, 0.4, Leaf(1), Split(1, -0.4, Split(1, -0.6, Leaf(-1), Leaf(1)), Leaf(1)))
+    )
+    x, y = (-0.4, 0.5), 1
+    k = math.fsum((nextafter(0.4, inf) + 0.4, 0.5 + 0.6))
+    assert reachable(tree, 1, k, x, y) == frozenset({k})
+    assert not robust_tree(tree, 1, k, x, y)
+    verdict = robust_ensemble(Ensemble((tree,), 2), 1, k, x, y)
+    assert not verdict.stable and verdict.min_attack_norm == k
+
+
 def test_ensemble_rejects_p0(staircase_stumps):
     with pytest.raises(ValueError):
         robust_ensemble(staircase_stumps, 0, 1.0, (11.0,), 1)
