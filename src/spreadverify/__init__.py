@@ -51,7 +51,7 @@ from .verifier import (
     robustness_score,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "AttackWitness",

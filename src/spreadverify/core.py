@@ -340,10 +340,9 @@ def _tree_sequence(trees: "Ensemble | Sequence[DecisionTree]") -> tuple[Decision
     return out
 
 
-def iter_splits(tree: "DecisionTree | Node") -> Iterator[Split]:
+def iter_splits(tree: DecisionTree) -> Iterator[Split]:
     """Yield the internal nodes of a tree in preorder."""
-    node = tree.root if isinstance(tree, DecisionTree) else tree
-    stack = [node]
+    stack = [tree.root]
     while stack:
         cur = stack.pop()
         if type(cur) is Split:
@@ -412,19 +411,13 @@ def power_total(contribs: Iterable[float], p: NormOrder) -> float:
     """Aggregate power-domain contributions (sum, max, or count)."""
     if p == inf:
         return max(contribs, default=0.0)
-    if p == 0:
-        return sum(contribs)
     return fsum(contribs)
 
 
 def power_to_norm(value: float, p: NormOrder) -> float:
-    """Convert a power-domain total back to an L_p norm."""
-    if p == 0:
-        return float(value)
-    if p == inf or p == 1:
+    """Convert a power-domain total (a float >= 0) back to an L_p norm."""
+    if p == 0 or p == inf or p == 1:
         return value
-    if value <= 0.0:
-        return 0.0
     return value ** (1.0 / p)
 
 
@@ -432,13 +425,11 @@ def norm_to_power(value: float, p: NormOrder) -> float:
     """Convert an L_p norm (e.g. a budget) into the power domain."""
     if p == 0 or p == inf or p == 1:
         return value
-    if value == inf:
-        return inf
     return value ** p
 
 
 def _update_power(p: NormOrder, acc: float, old_comp: float, new_comp: float) -> float:
-    # update_norm in the power domain, where the verifier keeps its costs.
+    # update_norm in the power domain, clamped at 0 against subtract-then-add drift.
     if p == inf:
         new = abs(new_comp)
         return acc if acc >= new else new
@@ -535,19 +526,16 @@ def _feature_index(
     return {f: tuple(zip(*sorted(entries))) for f, entries in pairs.items()}
 
 
-def _cross_tree_gap(thresholds: Sequence[float], owners: Sequence[int]) -> float:
-    """Smallest gap between sorted ``thresholds`` of distinct ``owners``, or +inf."""
-    # The minimum is realized by some adjacent pair whose owners differ.
-    best = inf
-    for v1, v2, i1, i2 in zip(thresholds, thresholds[1:], owners, owners[1:]):
-        if i1 != i2 and v2 - v1 < best:
-            best = v2 - v1
-    return best
-
-
 def _min_gap(index: Mapping[int, tuple[Sequence[float], Sequence[int]]]) -> float:
-    """Smallest same-feature gap between distinct trees over a feature index."""
-    return min((_cross_tree_gap(*entry) for entry in index.values()), default=inf)
+    """Smallest same-feature gap between distinct trees over a feature index, or +inf."""
+    # Per feature, the minimum is realized by some adjacent pair of the sorted
+    # thresholds whose owners differ.
+    best = inf
+    for thresholds, owners in index.values():
+        for v1, v2, i1, i2 in zip(thresholds, thresholds[1:], owners, owners[1:]):
+            if i1 != i2 and v2 - v1 < best:
+                best = v2 - v1
+    return best
 
 
 def _gap_of(trees: "Ensemble | Sequence[DecisionTree]") -> float:

@@ -2,8 +2,9 @@
 
 Single trees are verified by one depth-first traversal that maintains a
 single global hyper-rectangle of ``(lo, hi)`` bounds plus a scalar
-perturbation cost, updating the cost in O(1) per node and restoring both on
-backtrack.  The traversal runs on an explicit stack, so any tree depth fits.
+perturbation cost, updating the cost in O(1) per node.  The traversal runs
+on an explicit stack, so any tree depth fits, and restores the box through
+restore entries on that same stack.
 Ensembles whose cross-tree threshold spread strictly exceeds twice the
 attack budget are verified compositionally: per-tree minimal attack costs
 combine through the support-disjoint norm composition, so the whole check
@@ -110,25 +111,25 @@ def _wrong_leaf_costs(
 ) -> list[float]:
     """Power-domain costs (each <= budget) of every reachable wrong leaf.
 
-    An explicit stack, so any tree depth fits.  Each entry carries the undo
-    depth of its parent's ``(lo, hi)`` box, restored before its own narrowing.
+    An explicit stack, so any tree depth fits.  A child entry sets its own
+    ``(lo, hi)`` on its parent's feature f; below the children, a restore
+    entry puts f's previous bounds back (or deletes them) after both.
     """
     budget = norm_to_power(k, p)
     prune_budget = budget * _PRUNE_SLACK
     box: dict[int, tuple[float, float]] = {}
-    undo: list[tuple[int, Optional[tuple[float, float]]]] = []
     out: list[float] = []
-    stack = [(tree.root, 0.0, 0, None, None)]
+    stack = [(tree.root, 0.0, None, None)]
     while stack:
-        node, acc, depth, f, bounds = stack.pop()
-        while len(undo) > depth:
-            g, previous = undo.pop()
-            if previous is None:
-                del box[g]
+        node, acc, f, bounds = stack.pop()
+        if node is None:  # a restore entry
+            if bounds is None:
+                # f was unbounded: the child holding x[f] added no cost, so it ran.
+                del box[f]
             else:
-                box[g] = previous
+                box[f] = bounds
+            continue
         if f is not None:
-            undo.append((f, box.get(f)))
             box[f] = bounds
         if type(node) is Leaf:
             if node.label != y:
@@ -137,9 +138,10 @@ def _wrong_leaf_costs(
                     out.append(cost)
             continue
         f, v = node.feature, node.threshold
-        lo, hi = box.get(f, (-inf, inf))
+        previous = box.get(f)
+        lo, hi = previous or (-inf, inf)
         old_comp = _dist_raw(x[f], lo, hi)
-        depth = len(undo)
+        stack.append((None, 0.0, f, previous))
         # Right first, so the left subtree is popped (visited) first.
         for child, child_lo, child_hi in (
             (node.right, max(lo, v), hi),
@@ -150,7 +152,7 @@ def _wrong_leaf_costs(
             new_acc = _update_power(p, acc, old_comp, _dist_raw(x[f], child_lo, child_hi))
             if new_acc > prune_budget:
                 continue  # the cost only grows deeper down
-            stack.append((child, new_acc, depth, f, (child_lo, child_hi)))
+            stack.append((child, new_acc, f, (child_lo, child_hi)))
     return out
 
 
@@ -180,8 +182,7 @@ def reachable(
 def robust_tree(tree: DecisionTree, p: NormOrder, k: float, x: Sequence[float], y: int) -> bool:
     """True iff the tree predicts ``y`` on ``x`` and no wrong leaf is reachable."""
     p, k = _check_tree_args(tree, p, k, x, y)
-    if _tree_labels((tree,), x)[0] != y:
-        return False
+    # On a mispredicting tree, x's own leaf is a wrong leaf at cost 0.
     return not _wrong_leaf_costs(tree, p, k, x, y)
 
 

@@ -93,6 +93,22 @@ def test_model_types_refuse_what_they_would_coerce():
     assert Ensemble((stump,), np.int32(3)).dimensionality == 3
 
 
+def test_ensemble_stores_a_tuple_and_an_int():
+    # Built from a list and a NumPy integer, an ensemble still hashes and
+    # equals the one built from a tuple and an int.
+    stump = DecisionTree(Split(0, 0.5, Leaf(-1), Leaf(1)))
+    ensemble = Ensemble([stump], np.int64(3))
+    assert type(ensemble.trees) is tuple and type(ensemble.dimensionality) is int
+    assert ensemble == Ensemble((stump,), 3)
+    assert hash(ensemble) == hash(Ensemble((stump,), 3))
+
+
+def test_a_split_is_unequal_to_a_non_node():
+    split = Split(0, 0.5, Leaf(1), Leaf(-1))
+    assert not split == 5
+    assert split != "x"
+
+
 def test_ensemble_rejects_even_tree_count(stump_trio):
     t1, t2, _ = stump_trio
     with pytest.raises(ValueError):
@@ -102,6 +118,16 @@ def test_ensemble_rejects_even_tree_count(stump_trio):
 def test_ensemble_rejects_feature_out_of_range(stump_trio):
     with pytest.raises(ValueError):
         Ensemble(stump_trio, 0)
+
+
+def test_max_feature_is_the_largest_feature_anywhere():
+    # The root tests the largest feature; the last split walked tests 0.
+    tree = DecisionTree(Split(3, 0.5, Split(0, 0.1, Leaf(1), Leaf(-1)), Leaf(1)))
+    assert tree.max_feature == 3
+    with pytest.raises(ValueError):
+        Ensemble((tree,), 2)
+    with pytest.raises(ValueError):
+        predict_tree(tree, (0.0, 0.0))
 
 
 def test_norm_order_validation():
@@ -242,6 +268,8 @@ def test_oplus_examples():
     assert oplus([3.0, 4.0], 2) == 5.0
     assert oplus([1.0, 2.0, 7.0], inf) == 7.0
     assert oplus([1.0, 1.0, 1.0], 0) == 3.0
+    # L0 entries add correctly rounded, as at every finite p.
+    assert oplus([0.1, 0.2, 0.3], 0) == 0.6
 
 
 def test_oplus_rejects_infinite_entries():

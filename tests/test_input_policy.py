@@ -21,6 +21,7 @@ from spreadverify import (
     Ensemble,
     Graph,
     Leaf,
+    NotLargeSpreadError,
     Split,
     TrainConfig,
     clique_exists,
@@ -221,6 +222,24 @@ MALFORMED = {
             TrainConfig(num_trees=1, max_depth=2, p=inf, k=0.1, partitions=2),
         ),
         ValueError, "more partitions than trees",
+    ),
+    "train_large_spread-partitions-over-d": (
+        lambda: train_large_spread(
+            Dataset(np.zeros((4, 3)), np.array([-1, 1, -1, 1])),
+            TrainConfig(num_trees=5, max_depth=2, p=inf, k=0.1, partitions=4),
+        ),
+        ValueError, "cannot split",
+    ),
+    "train_large_spread-empty": (
+        lambda: train_large_spread(
+            Dataset(np.zeros((0, 2)), np.zeros(0)),
+            TrainConfig(num_trees=1, max_depth=2, p=inf, k=0.1),
+        ),
+        ValueError, "empty dataset",
+    ),
+    "robust_ensemble-spread": (
+        lambda: robust_ensemble(Ensemble((STUMP, STUMP, FAR), 1), inf, 0.1, (0.0,), 1),
+        NotLargeSpreadError, "is not greater than 2k",
     ),
     "parse_graph-header": (lambda: parse_graph("3 two\n"), ValueError, "integer header"),
     "split_attack-lengths": (

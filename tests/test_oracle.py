@@ -117,6 +117,13 @@ def test_minimal_attack_singleton(stump_trio):
     assert witness.norm_value == 1.0 and witness.z == (10.0,)
 
 
+def test_the_first_cheapest_leaf_tuple_wins_a_tie():
+    # Both wrong leaves cost 1.0; the first in leaf order (x0 <= 0) is kept.
+    tree = DecisionTree(Split(0, 0.0, Leaf(-1), Split(1, 0.0, Leaf(-1), Leaf(1))))
+    for p in (1, 2, inf):
+        assert minimal_attack(Ensemble((tree,), 2), p, (1.0, 1.0), 1).z == (0.0, 1.0)
+
+
 def test_minimal_attack_constant_ensemble():
     ensemble = Ensemble(tuple(DecisionTree(Leaf(1)) for _ in range(3)), 2)
     assert minimal_attack(ensemble, 2, (0.0, 0.0), 1) is None

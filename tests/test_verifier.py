@@ -204,6 +204,18 @@ def test_unstable_when_joint_attack_fits_budget(two_feature_stumps):
     assert not robust and witness.norm_value == expected
 
 
+def test_the_composed_attack_takes_the_cheapest_trees():
+    # Flipping tree i costs 3 - i; the majority needs two trees, and the
+    # cheapest two cost 1 and 2, whatever order the trees are visited in.
+    ensemble = Ensemble(
+        tuple(DecisionTree(Split(i, float(i), Leaf(-1), Leaf(1))) for i in range(3)), 3
+    )
+    x, y, k = (3.0, 3.0, 3.0), 1, 10.0
+    for p, expected in ((1, 3.0), (2, 5.0 ** 0.5), (inf, 2.0)):
+        verdict = robust_ensemble(ensemble, p, k, x, y)
+        assert not verdict.stable and verdict.min_attack_norm == expected
+
+
 def test_stable_when_joint_attack_exceeds_budget(two_feature_stumps):
     assert robust_ensemble(two_feature_stumps, 1, 1.5, (9.0, 9.0), 1).robust
     assert exact_robust(two_feature_stumps, 1, 1.5, (9.0, 9.0), 1)[0]
