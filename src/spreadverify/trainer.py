@@ -2,8 +2,11 @@
 
 A from-scratch CART forest (gini impurity, bootstrap resampling, per-split
 feature subsampling, midpoint thresholds) provides the candidate pool.  Each
+tree grows from one transposed copy of its bootstrap sample, a contiguous
+row of values per feature, and the sample's +1 flags; ``_bootstrap`` draws
+the sample's rows in batches, the same values as a ``randrange`` loop.  Each
 node searches its candidate features in one batch: one sort of all their
-columns and one gini evaluation of every cut.  The large-spread trainer then
+rows and one gini evaluation of every cut.  The large-spread trainer then
 grows an ensemble greedily: it always picks the pool tree with the fewest
 feature overlaps against the current selection and repairs remaining
 overlaps by pushing conflicting threshold pairs apart, one random offset per
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -150,34 +153,50 @@ def _check_repair_args(p: NormOrder, k: float, max_iter: int = 1) -> tuple[NormO
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, candidates: Sequence[int]
+    XT: np.ndarray, positive: np.ndarray, candidates: Sequence[int]
 ) -> Optional[tuple[int, float]]:
     """Feature/threshold with minimum weighted gini over the candidates.
 
-    Thresholds are midpoints between consecutive distinct sorted values.
-    Ties keep the first candidate feature and the smallest threshold.
+    ``XT`` is the node's sample transposed, one contiguous row of values per
+    feature, and ``positive`` flags the rows labelled +1.  Thresholds are
+    midpoints between consecutive distinct sorted values.  Ties keep the
+    first candidate feature and the smallest threshold.
 
-    All candidates are searched at once: their columns are sorted row by
-    row, and every position between two sorted values is scored, the
-    non-cuts (equal neighbours) as +inf.  The first minimum in row-major
-    order is then the first candidate and, within it, the smallest
+    All candidates are searched at once: their rows of ``XT`` are gathered
+    and sorted row by row, and every position between two sorted values is
+    scored, the non-cuts (equal neighbours) as +inf.  The first minimum in
+    row-major order is then the first candidate and, within it, the smallest
     threshold.  The sort need not be stable.  Tie order leaves the sorted
     values unchanged, and the positive count at a cut is the number of rows
     with a value at most the cut's, whatever their order.  -0.0 and 0.0
     compare equal, so they never form a cut, and a midpoint is the same
     with either zero.
     """
-    n = len(y)
-    values = X[:, candidates].T
+    n = positive.size
+    c = len(candidates)
+    values = XT[candidates]
     order = np.argsort(values, axis=1)
-    v = np.take_along_axis(values, order, axis=1)
-    pos = np.cumsum(y[order] == 1, axis=1)
-    left_n = np.arange(1, n)
+    v = values.take(order + np.arange(0, c * n, n)[:, None])  # the rows sorted
+    pos = positive[order].cumsum(axis=1)
     # Left and right sides stacked: sizes is 2 x 1 x (n-1), counts 2 x c x (n-1).
-    sizes = np.stack([left_n, n - left_n])[:, None, :]
-    counts = np.stack([pos[:, :-1], pos[:, -1:] - pos[:, :-1]])
-    gini = 1.0 - (counts / sizes) ** 2 - ((sizes - counts) / sizes) ** 2
-    weighted = (sizes[0] * gini[0] + sizes[1] * gini[1]) / n
+    sizes = np.empty((2, 1, n - 1), dtype=pos.dtype)
+    sizes[0, 0] = np.arange(1, n)
+    np.subtract(n, sizes[0, 0], out=sizes[1, 0])
+    counts = np.empty((2, c, n - 1), dtype=pos.dtype)
+    counts[0] = pos[:, :-1]
+    np.subtract(pos[:, -1:], pos[:, :-1], out=counts[1])
+    # 1 - (counts / sizes)**2 - ((sizes - counts) / sizes)**2, in place.
+    gini = counts / sizes
+    np.square(gini, out=gini)
+    np.subtract(1.0, gini, out=gini)
+    other = np.subtract(sizes, counts, out=counts) / sizes
+    np.square(other, out=other)
+    gini -= other
+    # (sizes[0] * gini[0] + sizes[1] * gini[1]) / n, in place.
+    gini *= sizes
+    weighted = gini[0]
+    weighted += gini[1]
+    weighted /= n
     weighted[v[:, :-1] >= v[:, 1:]] = math.inf
     c, i = divmod(int(np.argmin(weighted)), n - 1)
     if weighted[c, i] == math.inf:
@@ -193,30 +212,63 @@ _Preorder = Sequence[Union[tuple[int, float], int]]
 
 
 def _grow_tree(
-    X: np.ndarray, y: np.ndarray, max_depth: int, n_candidates: int, rng: random.Random
+    XT: np.ndarray,
+    positive: np.ndarray,
+    max_depth: int,
+    n_candidates: int,
+    rng: random.Random,
 ) -> _Preorder:
-    """One CART tree, in preorder.
+    """One CART tree, in preorder, from a transposed sample and its +1 flags.
 
     Nodes are grown from an explicit stack that pops the left subtree
-    first, so ``rng`` draws in preorder, as a recursion would.
+    first, so ``rng`` draws in preorder, as a recursion would.  Each split
+    sends the rows at most its threshold left, as prediction does, and
+    hands each side its own contiguous columns of ``XT``.
     """
     preorder = []
-    stack = [(X, y, 0)]
+    d = XT.shape[0]
+    stack = [(XT, positive, 0)]
     while stack:
-        X, y, depth = stack.pop()
-        n = len(y)
-        pos = int((y == 1).sum())
+        XT, positive, depth = stack.pop()
+        n = positive.size
+        pos = int(np.count_nonzero(positive))
         found = None
         if depth < max_depth and n >= 2 and 0 < pos < n:
-            found = _best_split(X, y, rng.sample(range(X.shape[1]), n_candidates))
+            found = _best_split(XT, positive, rng.sample(range(d), n_candidates))
         if found is None:
             preorder.append(1 if 2 * pos >= n else -1)
             continue
         preorder.append(found)
-        mask = X[:, found[0]] <= found[1]
-        stack.append((X[~mask], y[~mask], depth + 1))
-        stack.append((X[mask], y[mask], depth + 1))
+        left = XT[found[0]] <= found[1]
+        right = ~left
+        stack.append((np.compress(right, XT, axis=1), positive[right], depth + 1))
+        stack.append((np.compress(left, XT, axis=1), positive[left], depth + 1))
     return preorder
+
+
+def _bootstrap(rng: random.Random, n: int) -> np.ndarray:
+    """``[rng.randrange(n) for _ in range(n)]`` as an int64 array, drawn in batches.
+
+    n must be >= 1.  ``randrange(n)`` keeps the top ``n.bit_length()`` bits
+    of one 32-bit word of the generator and draws again while they are
+    >= n.  ``getrandbits(32 * m)`` returns the next m words, the first in
+    the lowest bits, so each batch shifts and filters those same words in
+    order.  A batch never holds more words than draws still needed, so the
+    values and the state ``rng`` is left in are the loop's.  From n = 2**32
+    on, ``randrange`` takes several words per draw, so such n are refused.
+    """
+    if n >= 1 << 32:
+        raise ValueError(f"cannot draw a bootstrap sample of {n} rows")
+    shift = 32 - n.bit_length()
+    kept = []
+    need = n
+    while need:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        drawn = np.frombuffer(words, "<u4") >> shift
+        drawn = drawn[drawn < n]
+        kept.append(drawn)
+        need -= drawn.size
+    return np.concatenate(kept).astype(np.int64)
 
 
 def _train_forest(
@@ -224,11 +276,13 @@ def _train_forest(
 ) -> list[_Preorder]:
     n, d = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(d)))
+    positive = y == 1
     trees = []
     for _ in range(count):
-        idx = [rng.randrange(n) for _ in range(n)]
-        sample = np.asarray(idx, dtype=np.int64)
-        trees.append(_grow_tree(X[sample], y[sample], max_depth, n_candidates, rng))
+        sample = _bootstrap(rng, n)
+        # The sample as one contiguous features x rows copy.
+        XT = np.take(X.T, sample, axis=1)
+        trees.append(_grow_tree(XT, positive[sample], max_depth, n_candidates, rng))
     return trees
 
 
@@ -288,16 +342,6 @@ def _rebuild_trees(
     ]
 
 
-def _min_gap_to(sorted_values: list[float], v: float) -> float:
-    i = bisect_left(sorted_values, v)
-    best = math.inf
-    if i < len(sorted_values):
-        best = sorted_values[i] - v
-    if i > 0:
-        best = min(best, v - sorted_values[i - 1])
-    return best
-
-
 def _pairs(preorder: _Preorder) -> list[tuple[int, float]]:
     return [node for node in preorder if type(node) is tuple]
 
@@ -315,7 +359,14 @@ def _select_best(
             if f in overlapping:
                 continue
             entry = index.get(f)
-            if entry is not None and _min_gap_to(entry[0], v) <= gap:
+            if entry is None:
+                continue
+            values = entry[0]
+            at = bisect_left(values, v)
+            # Within gap of the nearest threshold above v or below it.
+            if (at < len(values) and values[at] - v <= gap) or (
+                at and v - values[at - 1] <= gap
+            ):
                 overlapping.add(f)
         if len(overlapping) < best_count:
             best_count = len(overlapping)
@@ -372,18 +423,29 @@ def _fix_in_place(
     by_feature: dict[int, list[int]] = {}
     for i, feature in enumerate(features):
         by_feature.setdefault(feature, []).append(i)
+    # The later same-feature splits each split is compared with, skipping
+    # the run of its own tree's splits right after it (never a conflict).
+    later: list[list[int]] = [[]] * len(splits)
+    for peers in by_feature.values():
+        end = len(peers)
+        rest: list[int] = []
+        for at in range(end - 1, -1, -1):
+            if owners[peers[at]] != owners[peers[end - 1]]:
+                end = at + 1
+                rest = peers[end:]
+            later[peers[at]] = rest
     gap = 2.0 * k
+    neg_gap = -gap
     conflicts = set(by_feature)  # the first sweep visits every feature
     for sweep in range(max_iter + 1):
         todo, conflicts = conflicts, set()
-        for i in sorted(i for f in todo for i in by_feature[f]):
+        for i in sorted([i for f in todo for i in by_feature[f]]):
             tree = owners[i]
-            peers = by_feature[features[i]]
             v = thresholds[i]  # only this loop moves it
-            for j in peers[bisect_right(peers, i):]:
+            for j in later[i]:
                 w = thresholds[j]
                 # abs(v - w) <= gap, without the call
-                if -gap <= v - w <= gap and owners[j] != tree:
+                if neg_gap <= v - w <= gap and owners[j] != tree:
                     conflicts.add(features[i])
                     if sweep == max_iter:
                         continue  # the check-only pass draws nothing
@@ -480,7 +542,6 @@ def train_large_spread(dataset: Dataset, config: TrainConfig) -> Optional[Ensemb
     for g in range(l):
         part = list(range(g, d, l))
         size = base + (1 if g < remainder else 0)
-        # A row-major view: fancy indexing would copy column-major, slowing bootstrap.
         found = _train_large_spread_trees(
             dataset.features[:, g::l], dataset.labels, size, config, rng
         )

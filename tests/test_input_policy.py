@@ -216,6 +216,17 @@ MALFORMED = {
     "spread-tree": (lambda: spread([STUMP, STUMP.root], inf), TypeError, "DecisionTree"),
     "Dataset-1d": (lambda: Dataset(np.zeros(4), np.ones(4)), ValueError, "2-D"),
     "get_best_tree-empty": (lambda: get_best_tree([], [STUMP], inf, 0.1), ValueError, "pool"),
+    # Repair needs a finite k: the attacker checks alone would take k = inf.
+    "TrainConfig-k-inf": (
+        lambda: TrainConfig(num_trees=3, max_depth=2, p=inf, k=inf),
+        ValueError, "k must be finite and > 0",
+    ),
+    "get_best_tree-k-inf": (
+        lambda: get_best_tree([STUMP], [STUMP], inf, inf), ValueError, "k must be finite and > 0"
+    ),
+    "fix_forest-k-inf": (
+        lambda: fix_forest(MODEL, inf, inf, 5, 0), ValueError, "k must be finite and > 0"
+    ),
     "train_large_spread-partitions": (
         lambda: train_large_spread(
             Dataset(np.zeros((4, 3)), np.array([-1, 1, -1, 1])),

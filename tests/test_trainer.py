@@ -109,6 +109,37 @@ def test_forest_training_is_deterministic():
     assert canonical_model_json(a) != canonical_model_json(c)
 
 
+@pytest.mark.parametrize("lo", [1.0, float(np.nextafter(1.0, 2.0))])
+def test_a_row_on_its_threshold_goes_left_as_in_prediction(lo):
+    # hi is the next float above lo.  From 1.0 the midpoint rounds down to
+    # lo; from the float above it rounds up to hi, and the fallback picks lo.
+    hi = float(np.nextafter(lo, 2.0))
+    X = np.array([[lo]] * 20 + [[hi]] * 20)
+    y = np.array([-1] * 20 + [1] * 20)
+    (tree,) = train_random_forest(Dataset(X, y), 1, 1, seed=0).trees
+    assert tree._preorder == ((0, lo), -1, 1)
+
+
+def test_bootstrap_draws_as_the_randrange_loop():
+    # At n = 2**j + 1 about half the words are rejected, so several batches run.
+    for n in (1, 2, 3, 4, 5, 255, 256, 257, 398, 569, 65537):
+        for seed in range(10):
+            batched, loop = random.Random(seed), random.Random(seed)
+            sample = trainer._bootstrap(batched, n)
+            assert sample.dtype == np.int64
+            assert sample.tolist() == [loop.randrange(n) for _ in range(n)]
+            assert batched.getstate() == loop.getstate()
+
+
+def test_bootstrap_refuses_multi_word_draws():
+    # randrange draws several words per value from 2**32 on; refused before any draw.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="bootstrap sample"):
+        trainer._bootstrap(rng, 2**32)
+    assert rng.getstate() == state
+
+
 def test_forest_rejects_degenerate_data():
     with pytest.raises(ValueError):
         train_random_forest(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)), 1, 1, 0)
@@ -186,9 +217,10 @@ def test_batched_split_search_matches_a_per_candidate_search():
         y = cases.choice([-1, 1], size=n)
         candidates = [int(f) for f in cases.permutation(d)[: cases.integers(1, min(d, 6) + 1)]]
         expected = _exact(_per_candidate_split(X, y, candidates))
-        assert _exact(trainer._best_split(X, y, candidates)) == expected
+        XT = np.ascontiguousarray(X.T)
+        assert _exact(trainer._best_split(XT, y == 1, candidates)) == expected
         rows = cases.permutation(n)
-        assert _exact(trainer._best_split(X[rows], y[rows], candidates)) == expected
+        assert _exact(trainer._best_split(XT[:, rows], y[rows] == 1, candidates)) == expected
         found[expected is not None] += 1
     assert min(found.values()) >= 100
 
@@ -219,6 +251,23 @@ def test_get_best_tree_tie_breaks_to_pool_order():
     second = _stump(0, 10.3)
     assert get_best_tree([first, second], committed, inf, 1.0) is first
     assert get_best_tree([second, first], committed, inf, 1.0) is second
+
+
+@pytest.mark.parametrize(
+    "threshold, overlaps",
+    [
+        (10.5, True),
+        (9.5, True),
+        (float(np.nextafter(10.5, inf)), False),
+        (float(np.nextafter(9.5, -inf)), False),
+    ],
+)
+def test_get_best_tree_overlap_boundary_is_exactly_2k(threshold, overlaps):
+    # k = 0.25: a threshold exactly 2k = 0.5 above or below 10.0 overlaps.
+    committed = [_stump(0, 10.0)]
+    first, fresh = _stump(0, threshold), _stump(1, 3.0)
+    best = get_best_tree([first, fresh], committed, inf, 0.25)
+    assert best is (fresh if overlaps else first)
 
 
 # ---------------------------------------------------------------------------
